@@ -144,14 +144,23 @@ def bound_pair(f_expr: Expression, g_expr: Expression, env: DefinitionEnvironmen
 def transfer_residual(support: dict, bound: DefinitionEnvironment, center, order: int, mode: str = "exact"):
     """Series of the transferred identity; zero when f and g commute and
     P[f] vanishes."""
-    total = ZERO
+    return _transfer_terms(support, bound, center, order, mode)[0]
+
+
+def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: int, mode):
+    """(the residual series, the series of its terms in summing order)."""
+    total, terms = None, []
     for mono, coeff in support.items():
         term = coeff
         for j, e in enumerate(mono):
             if e:
                 term = mul(term, pow_(Compose(FuncRef("g", j), FuncRef("f")), e))
-        total = add(total, term)
-    return expand_series(total, center, order, mode=mode, env=bound)
+        s = expand_series(term, center, order, mode=mode, env=bound)
+        terms.append(s)
+        total = s if total is None else total + s
+    if total is None:
+        total = expand_series(ZERO, center, order, mode=mode, env=bound)
+    return total, terms
 
 
 def verify_transfer(
@@ -164,26 +173,11 @@ def verify_transfer(
     mode: str = "exact",
     tol: float = 1e-9,
 ) -> bool:
-    """Check the rewritten identity for a concrete permutable pair."""
+    """Check the rewritten identity for a concrete permutable pair: exactly,
+    or in numeric mode within tol relative to its largest term."""
     support = transfer_support(p)
-    bound = bound_pair(f_expr, g_expr, env)
-    res = transfer_residual(support, bound, center, order, mode)
-    if mode == "exact":
-        return res.is_zero()
-    scale = max(1.0, _support_scale(support, bound, center, order))
-    return res.max_abs() <= tol * scale
-
-
-def _support_scale(support: dict, bound: DefinitionEnvironment, center, order: int) -> float:
-    biggest = 0.0
-    for mono, coeff in support.items():
-        term = coeff
-        for j, e in enumerate(mono):
-            if e:
-                term = mul(term, pow_(Compose(FuncRef("g", j), FuncRef("f")), e))
-        s = expand_series(term, center, order, mode="numeric", env=bound)
-        biggest = max(biggest, s.max_abs())
-    return biggest
+    res, terms = _transfer_terms(support, bound_pair(f_expr, g_expr, env), center, order, mode)
+    return res.domain.vanishes(res, terms, tol)
 
 
 def support_text(support: dict):

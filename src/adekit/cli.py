@@ -13,8 +13,8 @@ import json
 import sys
 import time
 
-from .scalars import ScalarError, frac_str, frac_value
-from .series import SeriesError
+from .scalars import ScalarError
+from .series import Domain, SeriesError
 from .expr import (
     DefinitionEnvironment,
     ExprError,
@@ -68,16 +68,7 @@ def _split_pair(text: str):
 
 
 def _center_value(text: str, mode: str):
-    e = parse(text)
-    if mode == "exact":
-        return scalar_of(e)
-    return frac_value(scalar_of(e))
-
-
-def _scalar_text(x, mode: str) -> str:
-    if mode == "exact":
-        return frac_str(x)
-    return repr(x)
+    return Domain.of(mode).scalar(scalar_of(parse(text)))
 
 
 def _print_json(payload: dict):
@@ -119,9 +110,9 @@ def _cmd_series(args, env) -> int:
     center = _center_value(args.center, args.mode)
     s = expand_series(subject, center, args.order, mode=args.mode, env=env)
     print(f"order {args.order}")
-    print(f"center {_scalar_text(center, args.mode)}")
+    print(f"center {s.domain.text(center)}")
     for k, coeff in enumerate(s):
-        print(f"{k}: {_scalar_text(coeff, args.mode)}")
+        print(f"{k}: {s.domain.text(coeff)}")
     return EXIT_OK
 
 

@@ -16,14 +16,11 @@ from .scalars import (
     Frac,
     FRAC_ONE,
     GaussianRational,
-    Poly,
     frac_str,
-    poly_exact_div,
-    poly_gcd,
-    poly_lcm,
+    primitive_numerators,
     _has_toplevel,
 )
-from .series import PowerSeries, frac_to_series
+from .series import Domain, PowerSeries, frac_to_series
 from .expr import ParseError, _lex
 
 
@@ -344,20 +341,7 @@ def normalize(p: DiffPoly) -> DiffPoly:
     made +1."""
     if p.is_zero():
         return p
-    lcm = Poly.one()
-    for c in p.terms.values():
-        lcm = poly_lcm(lcm, c.den)
-    nums = {}
-    for m, c in p.terms.items():
-        cleared = c * Frac(lcm)
-        if not cleared.den.is_one():
-            raise DiffPolyError("denominator survived clearing")
-        nums[m] = cleared.num
-    content = None
-    for q in nums.values():
-        content = q if content is None else poly_gcd(content, q)
-    if not content.is_one():
-        nums = {m: poly_exact_div(q, content) for m, q in nums.items()}
+    nums = dict(zip(p.terms, primitive_numerators(p.terms.values())))
     lead_scalar = nums[max(nums, key=mono_rank)].leading()[1]
     inv = Frac.of(lead_scalar.inverse())
     return DiffPoly({m: Frac(q) * inv for m, q in nums.items()})
@@ -382,13 +366,18 @@ def derivative_stack(subject_series: PowerSeries, depth: int):
 def apply_to_series(p: DiffPoly, derivs, center, mode: str) -> PowerSeries:
     """Evaluate the differential polynomial on a stack of derivative series
     around the given center."""
+    return _apply(p, derivs, center, mode)[0]
+
+
+def _apply(p: DiffPoly, derivs, center, mode):
+    """(P evaluated on the stack, the series of its terms, in summing order)."""
     if not derivs:
         raise DiffPolyError("empty derivative stack")
     order = min(s.order for s in derivs)
-    mode_ = derivs[0].mode
-    if mode_ != mode:
+    if derivs[0].domain is not Domain.of(mode):
         raise DiffPolyError("derivative stack mode does not match")
     total = PowerSeries.zero(order, mode)
+    terms = []
     for m, c in p.terms.items():
         if mono_order(m) >= len(derivs) and m:
             raise DiffPolyError("derivative stack is too shallow for this polynomial")
@@ -396,44 +385,27 @@ def apply_to_series(p: DiffPoly, derivs, center, mode: str) -> PowerSeries:
         for k, e in enumerate(m):
             if e:
                 term = term * derivs[k] ** e
+        terms.append(term)
         total = total + term
-    return total
+    return total, terms
 
 
 def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> PowerSeries:
     """P[subject] expanded around center to the given order."""
+    return _residual(p, subject, env, center, order, mode)[0]
+
+
+def _residual(p: DiffPoly, subject, env, center, order: int, mode):
     from .expr import expand_series
 
     n = p.order
     base = expand_series(subject, center, order + n, mode=mode, env=env)
     derivs = derivative_stack(base, n)
-    if mode == "exact":
-        center = center if isinstance(center, Frac) else Frac.of(center)
-    else:
-        center = complex(center)
-    return apply_to_series(p, derivs, center, mode)
+    return _apply(p, derivs, center, base.domain)
 
 
 def holds_on(p: DiffPoly, subject, env, center, order: int, mode: str = "exact", tol: float = 1e-9) -> bool:
-    """Whether P[subject] vanishes identically through the given order."""
-    res = residual_series(p, subject, env, center, order, mode)
-    if mode == "exact":
-        return res.is_zero()
-    scale = max(1.0, _term_scale(p, subject, env, center, order))
-    return res.max_abs() <= tol * scale
-
-
-def _term_scale(p: DiffPoly, subject, env, center, order: int) -> float:
-    from .expr import expand_series
-
-    n = p.order
-    base = expand_series(subject, center, order + n, mode="numeric", env=env)
-    derivs = derivative_stack(base, n)
-    biggest = 0.0
-    for m, c in p.terms.items():
-        term = frac_to_series(c, complex(center), min(s.order for s in derivs), "numeric")
-        for k, e in enumerate(m):
-            if e:
-                term = term * derivs[k] ** e
-        biggest = max(biggest, term.max_abs())
-    return biggest
+    """Whether P[subject] vanishes identically through the given order:
+    exactly, or in numeric mode within tol relative to its largest term."""
+    res, terms = _residual(p, subject, env, center, order, mode)
+    return res.domain.vanishes(res, terms, tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import (
     FRAC_ONE,
@@ -19,9 +20,10 @@ from .scalars import (
     Frac,
     GaussianRational,
     Poly,
+    clear_denominators,
     poly_exact_div,
-    poly_gcd,
-    poly_lcm,
+    poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
+    primitive_numerators,
 )
 from .series import PowerSeries, poly_to_series
 from .diffpoly import (
@@ -61,32 +63,17 @@ class VerificationError(DiscoveryError):
 
 
 def _clear_row(row):
-    lcm = Poly.one()
-    for x in row:
-        lcm = poly_lcm(lcm, x.den)
-    scale = Frac(lcm)
-    out = []
-    for x in row:
-        y = x * scale
-        if not y.den.is_one():
-            raise DiscoveryError("failed to clear denominators in a solver row")
-        out.append(y.num)
+    out = clear_denominators(row)
     # also clear the rational denominators inside the coefficients, so the
     # fraction-free elimination multiplies integers rather than fractions
     denoms = 1
     for q in out:
         for g in q.terms.values():
-            denoms = _lcm_int(_lcm_int(denoms, g.re.denominator), g.im.denominator)
+            denoms = lcm(denoms, g.re.denominator, g.im.denominator)
     if denoms != 1:
         grow = GaussianRational(denoms)
         out = [q.scale(grow) for q in out]
     return out
-
-
-def _lcm_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 def exact_nullspace(rows):
@@ -192,15 +179,9 @@ def snap_scalar(x: complex) -> Frac:
 # Shared column construction
 
 
-def _coerce_center(center, mode):
-    if mode == "exact":
-        return center if isinstance(center, Frac) else Frac.of(center)
-    return complex(center)
-
-
-def _z_power_series(degree: int, center, order: int, mode: str):
+def _z_power_series(degree: int, center, order: int, dom):
     zpoly = Poly.var("z")
-    return [poly_to_series(zpoly**j, center, order, mode) for j in range(degree + 1)]
+    return [poly_to_series(zpoly**j, center, order, dom) for j in range(degree + 1)]
 
 
 def _rows_from_columns(columns):
@@ -252,23 +233,18 @@ def relation_search(
         raise DiscoveryError("coefficient degree must be nonnegative")
     unknowns = len(funcs) * (degree + 1)
     n_solve = unknowns + SOLVE_MARGIN
-    center = _coerce_center(center, mode)
     closed = [inline(f, env) for f in funcs]
     series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in closed]
-    zpows = _z_power_series(degree, center, n_solve, mode)
+    dom = series[0].domain
+    zpows = _z_power_series(degree, center, n_solve, dom)
     columns = [zpows[j] * s for s in series for j in range(degree + 1)]
     rows = _rows_from_columns(columns)
-    if mode == "exact":
-        basis, rank = exact_nullspace(rows)
-    else:
-        basis, rank = numeric_nullspace(rows, rtol)
+    basis, rank = dom.nullspace(rows, rtol)
     result = RelationResult(None, degree, rank, unknowns, len(rows), n_solve)
     if not basis:
         return result
     best = None
     for vec in basis:
-        if mode != "exact":
-            vec = [snap_scalar(x) for x in vec]
         coeffs = [
             _coefficient_frac(vec[k * (degree + 1) : (k + 1) * (degree + 1)], degree)
             for k in range(len(funcs))
@@ -290,21 +266,7 @@ def _normalize_certificate(coeffs):
     coefficient's leading scalar +1."""
     if all(c.is_zero() for c in coeffs):
         return coeffs
-    lcm = Poly.one()
-    for c in coeffs:
-        lcm = poly_lcm(lcm, c.den)
-    scale = Frac(lcm)
-    nums = []
-    for c in coeffs:
-        y = c * scale
-        nums.append(y.num)
-    content = None
-    for q in nums:
-        if q.is_zero():
-            continue
-        content = q if content is None else poly_gcd(content, q)
-    if content is not None and not content.is_one():
-        nums = [q if q.is_zero() else poly_exact_div(q, content) for q in nums]
+    nums = primitive_numerators(coeffs)
     lead = next(q for q in nums if not q.is_zero())
     inv = Frac.of(lead.leading()[1].inverse())
     return [Frac(q) * inv for q in nums]
@@ -366,7 +328,6 @@ def find_ade(
         raise DiscoveryError("weight bounds must satisfy 1 <= min <= max")
     if max_degree < 1 or max_coeff_degree < 0:
         raise DiscoveryError("degree bounds are out of range")
-    center = _coerce_center(center, mode)
     escalations = []
     for w in range(min_weight, max_weight + 1):
         for d in range(1, max_degree + 1):
@@ -375,18 +336,16 @@ def find_ade(
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
                 base = expand_series(subject, center, n_solve + w, mode=mode, env=env)
+                dom = base.domain
                 derivs = derivative_stack(base, w)
-                zpows = _z_power_series(c, center, n_solve, mode)
+                zpows = _z_power_series(c, center, n_solve, dom)
                 columns = []
                 for m in monos:
-                    s = _mono_series(m, derivs, n_solve, mode)
+                    s = _mono_series(m, derivs, n_solve)
                     for j in range(c + 1):
                         columns.append(zpows[j] * s)
                 rows = _rows_from_columns(columns)
-                if mode == "exact":
-                    basis, rank = exact_nullspace(rows)
-                else:
-                    basis, rank = numeric_nullspace(rows, rtol)
+                basis, rank = dom.nullspace(rows, rtol)
                 if not basis:
                     escalations.append(
                         {
@@ -398,7 +357,7 @@ def find_ade(
                         }
                     )
                     continue
-                candidate = _best_candidate(basis, monos, c, mode)
+                candidate = _best_candidate(basis, monos, c)
                 verify_order = n_solve + VERIFY_MARGIN
                 if not holds_on(candidate, subject, env, center, verify_order, mode, rtol):
                     raise VerificationError(
@@ -422,19 +381,18 @@ def find_ade(
     )
 
 
-def _mono_series(m: DiffMono, derivs, order: int, mode: str) -> PowerSeries:
-    out = PowerSeries.constant(FRAC_ONE if mode == "exact" else 1 + 0j, order, mode)
+def _mono_series(m: DiffMono, derivs, order: int) -> PowerSeries:
+    dom = derivs[0].domain
+    out = PowerSeries.constant(dom.one, order, dom)
     for k, e in enumerate(m):
         if e:
             out = out * derivs[k].truncate(order) ** e
     return out
 
 
-def _best_candidate(basis, monos, degree: int, mode: str) -> DiffPoly:
+def _best_candidate(basis, monos, degree: int) -> DiffPoly:
     best = None
     for vec in basis:
-        if mode != "exact":
-            vec = [snap_scalar(x) for x in vec]
         terms = {}
         for idx, m in enumerate(monos):
             coeff = _coefficient_frac(vec[idx * (degree + 1) : (idx + 1) * (degree + 1)], degree)

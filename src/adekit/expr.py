@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .scalars import (
     Frac,
-    FRAC_ONE,
-    FRAC_ZERO,
     GR_I,
     GR_ONE,
     GaussianRational,
@@ -31,7 +29,7 @@ from .scalars import (
     gauss_str,
     sin_of_scalar,
 )
-from .series import PowerSeries, series_exp, series_sin_cos
+from .series import Domain, PowerSeries, SeriesError, series_exp, series_sin_cos
 
 
 class ExprError(ValueError):
@@ -682,7 +680,7 @@ def _eval(e: Expression, pt: complex, env: DefinitionEnvironment) -> complex:
 # Exact scalar evaluation (z-free expressions)
 
 
-def scalar_of(e: Expression, env: DefinitionEnvironment | None = None, allow_adjoin: bool = True) -> Frac:
+def scalar_of(e: Expression, env: DefinitionEnvironment | None = None) -> Frac:
     """Exact value of a z-free expression as a scalar fraction."""
     env = env if env is not None else EMPTY_ENV
     if isinstance(e, Var):
@@ -692,21 +690,21 @@ def scalar_of(e: Expression, env: DefinitionEnvironment | None = None, allow_adj
     if isinstance(e, PiConst):
         return Frac.var("pi")
     if isinstance(e, Add):
-        return scalar_of(e.left, env, allow_adjoin) + scalar_of(e.right, env, allow_adjoin)
+        return scalar_of(e.left, env) + scalar_of(e.right, env)
     if isinstance(e, Sub):
-        return scalar_of(e.left, env, allow_adjoin) - scalar_of(e.right, env, allow_adjoin)
+        return scalar_of(e.left, env) - scalar_of(e.right, env)
     if isinstance(e, Mul):
-        return scalar_of(e.left, env, allow_adjoin) * scalar_of(e.right, env, allow_adjoin)
+        return scalar_of(e.left, env) * scalar_of(e.right, env)
     if isinstance(e, Div):
-        return scalar_of(e.left, env, allow_adjoin) / scalar_of(e.right, env, allow_adjoin)
+        return scalar_of(e.left, env) / scalar_of(e.right, env)
     if isinstance(e, Pow):
-        return scalar_of(e.base, env, allow_adjoin) ** e.exponent
+        return scalar_of(e.base, env) ** e.exponent
     if isinstance(e, Exp):
-        return exp_of_scalar(scalar_of(e.arg, env, allow_adjoin), allow_adjoin)
+        return exp_of_scalar(scalar_of(e.arg, env))
     if isinstance(e, Sin):
-        return sin_of_scalar(scalar_of(e.arg, env, allow_adjoin), allow_adjoin)
+        return sin_of_scalar(scalar_of(e.arg, env))
     if isinstance(e, Cos):
-        return cos_of_scalar(scalar_of(e.arg, env, allow_adjoin), allow_adjoin)
+        return cos_of_scalar(scalar_of(e.arg, env))
     raise ExprError(f"{type(e).__name__} node is not a constant scalar")
 
 
@@ -766,7 +764,6 @@ def expand_series(
     order: int,
     mode: str = "exact",
     env: DefinitionEnvironment | None = None,
-    allow_adjoin: bool = True,
 ) -> PowerSeries:
     """Taylor coefficients of e around z = center.
 
@@ -778,27 +775,23 @@ def expand_series(
     env = env if env is not None else EMPTY_ENV
     if order < 0:
         raise ExprError("expansion order must be nonnegative")
-    if mode == "exact":
-        center = center if isinstance(center, Frac) else Frac.of(center)
-    elif mode == "numeric":
-        center = complex(center)
-    else:
-        raise ExprError(f"unknown mode {mode!r}")
-    return _expand(e, center, order, mode, env, allow_adjoin)
+    try:
+        dom = Domain.of(mode)
+    except SeriesError:
+        raise ExprError(f"unknown mode {mode!r}") from None
+    return _expand(e, dom.center(center), order, dom, env)
 
 
-def _expand(e, center, order, mode, env, allow_adjoin) -> PowerSeries:
-    rec = lambda sub: _expand(sub, center, order, mode, env, allow_adjoin)
+def _expand(e, center, order, dom, env) -> PowerSeries:
+    rec = lambda sub: _expand(sub, center, order, dom, env)
     if isinstance(e, Var):
-        cs = [center] + ([_one_c(mode)] if order >= 1 else [])
-        cs += [_zero_c(mode)] * (order + 1 - len(cs))
-        return PowerSeries(mode, cs)
+        cs = [center] + ([dom.one] if order >= 1 else [])
+        cs += [dom.zero] * (order + 1 - len(cs))
+        return PowerSeries(dom, cs)
     if isinstance(e, Lit):
-        v = Frac.of(e.value) if mode == "exact" else e.value.to_complex()
-        return PowerSeries.constant(v, order, mode)
+        return PowerSeries.constant(dom.literal(e.value), order, dom)
     if isinstance(e, PiConst):
-        v = Frac.var("pi") if mode == "exact" else complex(math.pi)
-        return PowerSeries.constant(v, order, mode)
+        return PowerSeries.constant(dom.pi, order, dom)
     if isinstance(e, Add):
         return rec(e.left) + rec(e.right)
     if isinstance(e, Sub):
@@ -810,56 +803,31 @@ def _expand(e, center, order, mode, env, allow_adjoin) -> PowerSeries:
     if isinstance(e, Pow):
         return rec(e.base) ** e.exponent
     if isinstance(e, Exp):
-        a = rec(e.arg)
-        u0, tail = _split_const(a)
-        scalar = exp_of_scalar(u0, allow_adjoin) if mode == "exact" else cmath.exp(u0)
+        u0, tail = _split_const(rec(e.arg))
+        scalar = dom.exp(u0)
         return series_exp(tail).scale(scalar)
-    if isinstance(e, Sin):
-        a = rec(e.arg)
-        u0, tail = _split_const(a)
+    if isinstance(e, (Sin, Cos)):
+        u0, tail = _split_const(rec(e.arg))
         s, c = series_sin_cos(tail)
-        if mode == "exact":
-            s0, c0 = sin_of_scalar(u0, allow_adjoin), cos_of_scalar(u0, allow_adjoin)
-        else:
-            s0, c0 = cmath.sin(u0), cmath.cos(u0)
-        return s.scale(c0) + c.scale(s0)
-    if isinstance(e, Cos):
-        a = rec(e.arg)
-        u0, tail = _split_const(a)
-        s, c = series_sin_cos(tail)
-        if mode == "exact":
-            s0, c0 = sin_of_scalar(u0, allow_adjoin), cos_of_scalar(u0, allow_adjoin)
-        else:
-            s0, c0 = cmath.sin(u0), cmath.cos(u0)
+        s0, c0 = dom.sin(u0), dom.cos(u0)
+        if isinstance(e, Sin):
+            return s.scale(c0) + c.scale(s0)
         return c.scale(c0) - s.scale(s0)
     if isinstance(e, FuncRef):
-        return _expand(nth_derivative(env.lookup(e.name), e.order), center, order, mode, env, allow_adjoin)
+        return rec(nth_derivative(env.lookup(e.name), e.order))
     if isinstance(e, Compose):
-        inner = rec(e.inner)
-        u0, tail = _split_const(inner)
-        outer = _expand(e.outer, u0, order, mode, env, allow_adjoin)
-        return outer.compose(tail)
+        u0, tail = _split_const(rec(e.inner))
+        return _expand(e.outer, u0, order, dom, env).compose(tail)
     if isinstance(e, Iterate):
         body = env.lookup(e.name)
-        out = _expand(body, center, order, mode, env, allow_adjoin)
+        out = rec(body)
         for _ in range(e.count - 1):
             u0, tail = _split_const(out)
-            outer = _expand(body, u0, order, mode, env, allow_adjoin)
-            out = outer.compose(tail)
+            out = _expand(body, u0, order, dom, env).compose(tail)
         return out
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _zero_c(mode):
-    return FRAC_ZERO if mode == "exact" else 0j
-
-
-def _one_c(mode):
-    return FRAC_ONE if mode == "exact" else 1 + 0j
-
-
 def _split_const(s: PowerSeries):
     """(constant term, series with constant term removed)."""
-    c0 = s.coeffs[0]
-    rest = PowerSeries(s.mode, (_zero_c(s.mode),) + s.coeffs[1:])
-    return c0, rest
+    return s.coeffs[0], PowerSeries(s.domain, (s.domain.zero,) + s.coeffs[1:])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .diffpoly import DiffMono, DiffPoly, diff_mono_text, holds_on, normalize
 from .discovery import (
-    BoundExhausted,
     DiscoveryError,
     SearchOutcome,
     VerificationError,
@@ -27,7 +26,6 @@ from .expr import (
     Compose,
     DefinitionEnvironment,
     Expression,
-    FuncRef,
     ONE,
     expand_series,
     inline,
@@ -59,18 +57,7 @@ def check_permutable(
     cg = inline(g, env)
     fog = expand_series(Compose(cf, cg), center, order, mode=mode, env=env)
     gof = expand_series(Compose(cg, cf), center, order, mode=mode, env=env)
-    mismatch = None
-    if mode == "exact":
-        for k in range(order + 1):
-            if fog.coeffs[k] != gof.coeffs[k]:
-                mismatch = k
-                break
-    else:
-        scale = max(1.0, fog.max_abs(), gof.max_abs())
-        for k in range(order + 1):
-            if abs(fog.coeffs[k] - gof.coeffs[k]) > rtol * scale:
-                mismatch = k
-                break
+    mismatch = fog.domain.first_mismatch(fog, gof, rtol)
     return PermutabilityReport(mismatch is None, order, mismatch, mode)
 
 
@@ -132,25 +119,12 @@ def iterate_ade(
     acc_ade = p
     outcome = None
     for _ in range(count - 1):
-        outcome = _compose_with_subject(p, acc_ade, Compose(closed, acc_expr), env, center, mode, rtol)
+        # inline leaves the closed expressions as they are, so this searches
+        # Compose(closed, acc_expr)
+        outcome = compose_ade(p, acc_ade, closed, acc_expr, env, center, mode, rtol)
         acc_expr = Compose(closed, acc_expr)
         acc_ade = outcome.ade
     return outcome
-
-
-def _compose_with_subject(p, q, subject, env, center, mode, rtol) -> SearchOutcome:
-    w = p.weight + q.weight
-    return find_ade(
-        subject,
-        env,
-        center=center,
-        min_weight=w,
-        max_weight=w,
-        max_degree=p.total_degree + q.total_degree,
-        max_coeff_degree=p.coeff_degree + q.coeff_degree + 2,
-        mode=mode,
-        rtol=rtol,
-    )
 
 
 @dataclass

@@ -33,11 +33,6 @@ class ScalarError(ValueError):
     pass
 
 
-class AdjunctionDisabled(ScalarError):
-    """Raised when an exact expansion would need a new constant symbol but
-    adjunction was switched off by the caller."""
-
-
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -697,6 +692,32 @@ FRAC_ZERO = Frac(Poly.zero())
 FRAC_ONE = Frac(Poly.one())
 
 
+def clear_denominators(fracs) -> list:
+    """The fractions times the lcm of their denominators, as polynomials."""
+    fracs = list(fracs)
+    lcm = Poly.one()
+    for x in fracs:
+        lcm = poly_lcm(lcm, x.den)
+    scale = Frac(lcm)
+    out = []
+    for x in fracs:
+        y = x * scale
+        if not y.den.is_one():
+            raise ScalarError("denominator survived clearing")
+        out.append(y.num)
+    return out
+
+
+def primitive_numerators(fracs) -> list:
+    """Cleared numerators with their common polynomial content divided out,
+    so they are coprime up to a unit scalar; zero entries stay zero."""
+    nums = clear_denominators(fracs)
+    content = _content(nums)
+    if content.is_one():
+        return nums
+    return [poly_exact_div(q, content) for q in nums]
+
+
 def _has_toplevel(txt: str, ops: str, start: int = 0) -> bool:
     depth = 0
     for k, ch in enumerate(txt):
@@ -731,20 +752,19 @@ def frac_str(f: Frac) -> str:
 class SymbolicConstant:
     """A constant symbol adjoined to the scalar domain.
 
-    The definition key is the canonical printed form of the defining
-    expression (for example ``exp(1)``); it doubles as the polynomial
-    variable name, so two structurally equal adjunctions share a symbol.
+    The name is the canonical printed form of the defining expression (for
+    example ``exp(1)``); it doubles as the polynomial variable name, so two
+    structurally equal adjunctions share a symbol.
     """
 
-    __slots__ = ("name", "definition_key", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, definition_key: str, value: complex):
+    def __init__(self, name: str, value: complex):
         self.name = name
-        self.definition_key = definition_key
         self.value = value
 
     def __repr__(self):
-        return f"SymbolicConstant({self.definition_key})"
+        return f"SymbolicConstant({self.name})"
 
 
 _REGISTRY: dict = {}
@@ -757,7 +777,7 @@ def adjoin_constant(key: str, value: complex) -> Frac:
     with _REGISTRY_LOCK:
         known = _REGISTRY.get(key)
         if known is None:
-            _REGISTRY[key] = SymbolicConstant(key, key, complex(value))
+            _REGISTRY[key] = SymbolicConstant(key, complex(value))
     return Frac.var(key)
 
 
@@ -767,11 +787,6 @@ def constant_value(name: str) -> complex:
     if sc is None:
         raise ScalarError(f"unknown constant symbol {name!r}")
     return sc.value
-
-
-def registered_constants() -> list:
-    with _REGISTRY_LOCK:
-        return sorted(_REGISTRY)
 
 
 adjoin_constant("pi", math.pi)
@@ -817,30 +832,26 @@ def _split_quarter_turns(u: Frac):
     return unit, rest
 
 
-def exp_of_scalar(u: Frac, allow_adjoin: bool = True) -> Frac:
+def exp_of_scalar(u: Frac) -> Frac:
     unit, rest = _split_quarter_turns(u)
     if rest.is_zero():
         return Frac.of(unit)
-    if not allow_adjoin:
-        raise AdjunctionDisabled(f"exp({frac_str(rest)}) has no exact value and adjunction is disabled")
     key = f"exp({frac_str(rest)})"
     sym = adjoin_constant(key, cmath.exp(frac_value(rest)))
     return sym * unit
 
 
-def _trig_of_scalar(u: Frac, fn: str, allow_adjoin: bool) -> Frac:
+def _trig_of_scalar(u: Frac, fn: str) -> Frac:
     if u.is_zero():
         return FRAC_ZERO if fn == "sin" else FRAC_ONE
-    if not allow_adjoin:
-        raise AdjunctionDisabled(f"{fn}({frac_str(u)}) has no exact value and adjunction is disabled")
     key = f"{fn}({frac_str(u)})"
     value = cmath.sin(frac_value(u)) if fn == "sin" else cmath.cos(frac_value(u))
     return adjoin_constant(key, value)
 
 
-def sin_of_scalar(u: Frac, allow_adjoin: bool = True) -> Frac:
-    return _trig_of_scalar(u, "sin", allow_adjoin)
+def sin_of_scalar(u: Frac) -> Frac:
+    return _trig_of_scalar(u, "sin")
 
 
-def cos_of_scalar(u: Frac, allow_adjoin: bool = True) -> Frac:
-    return _trig_of_scalar(u, "cos", allow_adjoin)
+def cos_of_scalar(u: Frac) -> Frac:
+    return _trig_of_scalar(u, "cos")

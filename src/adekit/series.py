@@ -1,25 +1,33 @@
-"""Truncated power series with exact or double-precision coefficients.
+"""Truncated power series over an exact or a double-precision domain.
 
 A series stores coefficients 0..N for a fixed truncation order N.  Binary
 operations truncate to the smaller operand order, so precision loss is
 explicit and monotone.  Exact coefficients are :class:`~adekit.scalars.Frac`
-values (z-free); numeric coefficients are Python complex.
+values (z-free); numeric coefficients are Python complex.  Everything that
+differs between the two lives on a :class:`Domain`; every series carries
+its domain, and :meth:`Domain.of` is the one place that reads the mode
+names "exact" and "numeric".
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     Frac,
     FRAC_ONE,
     FRAC_ZERO,
     GaussianRational,
+    PI,
     Poly,
-    ScalarError,
+    cos_of_scalar,
+    exp_of_scalar,
+    frac_str,
     frac_value,
+    sin_of_scalar,
 )
 
 DEFAULT_REL_TOL = 1e-9
@@ -34,69 +42,189 @@ class ModeMismatch(SeriesError):
     pass
 
 
-def _zero(mode):
-    return FRAC_ZERO if mode == "exact" else 0j
+# ---------------------------------------------------------------------------
+# Coefficient domains
 
 
-def _one(mode):
-    return FRAC_ONE if mode == "exact" else 1 + 0j
+class Domain:
+    """A coefficient field: its constants, coercions, zero tests, the
+    values of elementary functions at a constant term, how residuals are
+    compared, and how a linear system over it is solved."""
+
+    name = ""
+
+    @staticmethod
+    def of(mode) -> "Domain":
+        """The domain named by a mode string (a domain passes through)."""
+        if isinstance(mode, Domain):
+            return mode
+        try:
+            return _DOMAINS[mode]
+        except (KeyError, TypeError):
+            raise SeriesError(f"unknown series mode {mode!r}") from None
+
+    def coeffs(self, xs) -> tuple:
+        return tuple(self.coeff(x) for x in xs)
 
 
-def _coerce_coeff(mode, x):
-    if mode == "exact":
+class ExactDomain(Domain):
+    """Gaussian rationals with adjoined constants, as z-free fractions."""
+
+    name = "exact"
+    zero = FRAC_ZERO
+    one = FRAC_ONE
+    pi = PI
+    singular = "series with zero constant term"
+    center = staticmethod(Frac.of)
+    literal = staticmethod(Frac.of)
+    integer = staticmethod(Frac.of)
+    exp = staticmethod(exp_of_scalar)
+    sin = staticmethod(sin_of_scalar)
+    cos = staticmethod(cos_of_scalar)
+    text = staticmethod(frac_str)
+
+    def coeff(self, x):
         if isinstance(x, Frac):
             return x
         if isinstance(x, (int, Fraction, GaussianRational, Poly)):
             return Frac.of(x)
         raise ModeMismatch(f"exact series cannot hold {type(x).__name__} coefficients")
-    if isinstance(x, complex):
-        return x
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, Frac):
-        raise ModeMismatch("numeric series cannot hold exact coefficients")
-    raise ModeMismatch(f"numeric series cannot hold {type(x).__name__} coefficients")
+
+    def scalar(self, f: Frac):
+        """The value of an exact scalar in this domain."""
+        return f
+
+    def is_zero(self, c) -> bool:
+        return c.is_zero()
+
+    # division and poles: exactly zero is the only singular value
+    is_singular = is_zero
+
+    def max_abs(self, coeffs):
+        raise SeriesError("max_abs is a numeric-mode helper")
+
+    def vanishes(self, residual: "PowerSeries", terms, tol: float) -> bool:
+        return residual.is_zero()
+
+    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries", tol: float):
+        """Index of the first coefficient where a and b differ, or None."""
+        n = min(a.order, b.order)
+        return next((k for k in range(n + 1) if a.coeffs[k] != b.coeffs[k]), None)
+
+    def nullspace(self, rows, rtol: float):
+        from .discovery import exact_nullspace
+
+        return exact_nullspace(rows)
+
+    def to_numeric(self, s: "PowerSeries") -> "PowerSeries":
+        return PowerSeries(NUMERIC, [frac_value(c) for c in s.coeffs])
+
+
+class NumericDomain(Domain):
+    """Complex floats; comparisons carry an explicit tolerance."""
+
+    name = "numeric"
+    zero = 0j
+    one = 1 + 0j
+    pi = complex(math.pi)
+    singular = "numerically singular constant term"
+    center = staticmethod(complex)
+    literal = staticmethod(GaussianRational.to_complex)
+    integer = staticmethod(complex)
+    exp = staticmethod(cmath.exp)
+    sin = staticmethod(cmath.sin)
+    cos = staticmethod(cmath.cos)
+    text = staticmethod(repr)
+    scalar = staticmethod(frac_value)
+
+    def coeff(self, x):
+        if isinstance(x, complex):
+            return x
+        if isinstance(x, (int, float)):
+            return complex(x)
+        if isinstance(x, Frac):
+            raise ModeMismatch("numeric series cannot hold exact coefficients")
+        raise ModeMismatch(f"numeric series cannot hold {type(x).__name__} coefficients")
+
+    def coeffs(self, xs) -> tuple:
+        cs = super().coeffs(xs)
+        if not all(map(cmath.isfinite, cs)):
+            raise SeriesError("numeric series coefficient is not finite")
+        return cs
+
+    def is_zero(self, c) -> bool:
+        return c == 0
+
+    def is_singular(self, c) -> bool:
+        return abs(c) <= NUMERIC_DIV_EPS
+
+    def max_abs(self, coeffs) -> float:
+        return max(abs(c) for c in coeffs)
+
+    def vanishes(self, residual: "PowerSeries", terms, tol: float) -> bool:
+        """Zero within tol relative to the largest of the summed terms."""
+        scale = max([1.0] + [t.max_abs() for t in terms])
+        return residual.max_abs() <= tol * scale
+
+    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries", tol: float):
+        bound = tol * max(1.0, a.max_abs(), b.max_abs())
+        n = min(a.order, b.order)
+        return next((k for k in range(n + 1) if abs(a.coeffs[k] - b.coeffs[k]) > bound), None)
+
+    def nullspace(self, rows, rtol: float):
+        """Kernel vectors snapped back to small exact rationals."""
+        from .discovery import numeric_nullspace, snap_scalar
+
+        basis, rank = numeric_nullspace(rows, rtol)
+        return [[snap_scalar(x) for x in vec] for vec in basis], rank
+
+    def to_numeric(self, s: "PowerSeries") -> "PowerSeries":
+        return s
+
+
+EXACT = ExactDomain()
+NUMERIC = NumericDomain()
+_DOMAINS = {EXACT.name: EXACT, NUMERIC.name: NUMERIC}
 
 
 class PowerSeries:
     """Coefficients c[0..order] of a truncated Taylor expansion."""
 
-    __slots__ = ("mode", "coeffs")
+    __slots__ = ("domain", "coeffs")
 
-    def __init__(self, mode: str, coeffs: Sequence):
-        if mode not in ("exact", "numeric"):
-            raise SeriesError(f"unknown series mode {mode!r}")
+    def __init__(self, mode, coeffs: Sequence):
+        dom = Domain.of(mode)
         if not coeffs:
             raise SeriesError("a series needs at least the order-0 coefficient")
-        cs = tuple(_coerce_coeff(mode, c) for c in coeffs)
-        if mode == "numeric":
-            for c in cs:
-                if not (cmath.isfinite(c)):
-                    raise SeriesError("numeric series coefficient is not finite")
-        self.mode = mode
-        self.coeffs = cs
+        self.domain = dom
+        self.coeffs = dom.coeffs(coeffs)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value, order: int, mode: str = "exact") -> "PowerSeries":
-        c = [_coerce_coeff(mode, value)] + [_zero(mode)] * order
-        return PowerSeries(mode, c)
+    def constant(value, order: int, mode="exact") -> "PowerSeries":
+        dom = Domain.of(mode)
+        return PowerSeries(dom, [dom.coeff(value)] + [dom.zero] * order)
 
     @staticmethod
-    def zero(order: int, mode: str = "exact") -> "PowerSeries":
-        return PowerSeries.constant(0 if mode == "numeric" else FRAC_ZERO, order, mode)
+    def zero(order: int, mode="exact") -> "PowerSeries":
+        return PowerSeries.constant(Domain.of(mode).zero, order, mode)
 
     @staticmethod
-    def identity(order: int, mode: str = "exact") -> "PowerSeries":
+    def identity(order: int, mode="exact") -> "PowerSeries":
         """The series of z - center, i.e. coefficients [0, 1, 0, ...]."""
         if order < 1:
             raise SeriesError("identity needs order >= 1")
-        c = [_zero(mode)] * (order + 1)
-        c[1] = _one(mode)
-        return PowerSeries(mode, c)
+        dom = Domain.of(mode)
+        c = [dom.zero] * (order + 1)
+        c[1] = dom.one
+        return PowerSeries(dom, c)
 
     # -- basics -------------------------------------------------------------
+
+    @property
+    def mode(self) -> str:
+        return self.domain.name
 
     @property
     def order(self) -> int:
@@ -111,7 +239,7 @@ class PowerSeries:
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.mode == other.mode and self.coeffs == other.coeffs
+        return self.domain is other.domain and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.mode, self.coeffs))
@@ -122,24 +250,20 @@ class PowerSeries:
         return f"PowerSeries({self.mode}, [{head}{tail}], order={self.order})"
 
     def is_zero(self) -> bool:
-        if self.mode == "exact":
-            return all(c.is_zero() for c in self.coeffs)
-        return all(c == 0 for c in self.coeffs)
+        return all(map(self.domain.is_zero, self.coeffs))
 
     def max_abs(self) -> float:
-        if self.mode == "exact":
-            raise SeriesError("max_abs is a numeric-mode helper")
-        return max(abs(c) for c in self.coeffs)
+        return self.domain.max_abs(self.coeffs)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
             return self
-        return PowerSeries(self.mode, self.coeffs[: order + 1])
+        return PowerSeries(self.domain, self.coeffs[: order + 1])
 
     def _check(self, other: "PowerSeries"):
         if not isinstance(other, PowerSeries):
             raise TypeError("expected a PowerSeries")
-        if self.mode != other.mode:
+        if self.domain is not other.domain:
             raise ModeMismatch("cannot mix exact and numeric series")
 
     # -- ring operations ----------------------------------------------------
@@ -147,44 +271,41 @@ class PowerSeries:
     def __add__(self, other):
         self._check(other)
         n = min(self.order, other.order)
-        return PowerSeries(self.mode, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries(self.domain, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other):
         self._check(other)
         n = min(self.order, other.order)
-        return PowerSeries(self.mode, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries(self.domain, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __neg__(self):
-        return PowerSeries(self.mode, [-c for c in self.coeffs])
+        return PowerSeries(self.domain, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
+        zero = self.domain.zero
         out = []
         for k in range(n + 1):
-            s = _zero(self.mode)
+            s = zero
             for j in range(k + 1):
                 s = s + a[j] * b[k - j]
             out.append(s)
-        return PowerSeries(self.mode, out)
+        return PowerSeries(self.domain, out)
 
     def scale(self, c) -> "PowerSeries":
-        c = _coerce_coeff(self.mode, c)
-        return PowerSeries(self.mode, [x * c for x in self.coeffs])
+        c = self.domain.coeff(c)
+        return PowerSeries(self.domain, [x * c for x in self.coeffs])
 
     def __truediv__(self, other):
         self._check(other)
+        dom = self.domain
         n = min(self.order, other.order)
         b0 = other.coeffs[0]
-        if self.mode == "exact":
-            if b0.is_zero():
-                raise ZeroDivisionError("series division by a series with zero constant term")
-            inv0 = FRAC_ONE / b0
-        else:
-            if abs(b0) <= NUMERIC_DIV_EPS:
-                raise ZeroDivisionError("series division by a numerically singular constant term")
-            inv0 = 1 / b0
+        if dom.is_singular(b0):
+            raise ZeroDivisionError(f"series division by a {dom.singular}")
+        inv0 = dom.one / b0
         a, b = self.coeffs, other.coeffs
         q = []
         for k in range(n + 1):
@@ -192,14 +313,20 @@ class PowerSeries:
             for j in range(k):
                 s = s - q[j] * b[k - j]
             q.append(s * inv0)
-        return PowerSeries(self.mode, q)
+        return PowerSeries(dom, q)
 
     def __pow__(self, n: int):
+        """Left-to-right binary powering: n = 2 and n = 3 form s*s and
+        (s*s)*s, as repeated multiplication would."""
         if n < 0:
             raise SeriesError("negative series power; divide explicitly instead")
-        out = PowerSeries.constant(_one(self.mode), self.order, self.mode)
-        for _ in range(n):
-            out = out * self
+        if n == 0:
+            return PowerSeries.constant(self.domain.one, self.order, self.domain)
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- calculus -----------------------------------------------------------
@@ -207,33 +334,26 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        out = []
-        for k in range(1, self.order + 1):
-            factor = Frac.of(k) if self.mode == "exact" else complex(k)
-            out.append(self.coeffs[k] * factor)
-        return PowerSeries(self.mode, out)
+        integer = self.domain.integer
+        return PowerSeries(self.domain, [self.coeffs[k] * integer(k) for k in range(1, self.order + 1)])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Taylor coefficients of self(inner); inner must kill its constant term."""
         self._check(inner)
-        c0 = inner.coeffs[0]
-        ok = c0.is_zero() if self.mode == "exact" else c0 == 0
-        if not ok:
+        if not self.domain.is_zero(inner.coeffs[0]):
             raise SeriesError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
         outer = self.truncate(n)
         inner = inner.truncate(n)
-        acc = PowerSeries.constant(outer.coeffs[n], n, self.mode)
+        acc = PowerSeries.constant(outer.coeffs[n], n, self.domain)
         for k in range(n - 1, -1, -1):
-            acc = acc * inner + PowerSeries.constant(outer.coeffs[k], n, self.mode)
+            acc = acc * inner + PowerSeries.constant(outer.coeffs[k], n, self.domain)
         return acc
 
     # -- conversions --------------------------------------------------------
 
     def to_numeric(self) -> "PowerSeries":
-        if self.mode == "numeric":
-            return self
-        return PowerSeries("numeric", [frac_value(c) for c in self.coeffs])
+        return self.domain.to_numeric(self)
 
     def close_to(self, other: "PowerSeries", rel_tol: float = DEFAULT_REL_TOL, floor: float = 1e-6) -> bool:
         """Numeric comparison: coefficients with magnitude >= floor must agree
@@ -261,15 +381,14 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term, via e' = a'e."""
     _require_zero_const(a, "exp")
     n = a.order
-    mode = a.mode
-    out = [_one(mode)]
+    dom = a.domain
+    out = [dom.one]
     for k in range(1, n + 1):
-        s = _zero(mode)
+        s = dom.zero
         for j in range(1, k + 1):
             s = s + a.coeffs[j] * j * out[k - j]
-        factor = FRAC_ONE / Frac.of(k) if mode == "exact" else 1 / k
-        out.append(s * factor)
-    return PowerSeries(mode, out)
+        out.append(s * (dom.one / dom.integer(k)))
+    return PowerSeries(dom, out)
 
 
 def series_sin_cos(a: PowerSeries) -> tuple:
@@ -277,19 +396,19 @@ def series_sin_cos(a: PowerSeries) -> tuple:
     s' = a'c and c' = -a's."""
     _require_zero_const(a, "sin/cos")
     n = a.order
-    mode = a.mode
-    s = [_zero(mode)]
-    c = [_one(mode)]
+    dom = a.domain
+    s = [dom.zero]
+    c = [dom.one]
     for k in range(1, n + 1):
-        accs = _zero(mode)
-        accc = _zero(mode)
+        accs = dom.zero
+        accc = dom.zero
         for j in range(1, k + 1):
             accs = accs + a.coeffs[j] * j * c[k - j]
             accc = accc + a.coeffs[j] * j * s[k - j]
-        factor = FRAC_ONE / Frac.of(k) if mode == "exact" else 1 / k
+        factor = dom.one / dom.integer(k)
         s.append(accs * factor)
         c.append(-accc * factor)
-    return PowerSeries(mode, s), PowerSeries(mode, c)
+    return PowerSeries(dom, s), PowerSeries(dom, c)
 
 
 def series_sin(a: PowerSeries) -> PowerSeries:
@@ -301,9 +420,7 @@ def series_cos(a: PowerSeries) -> PowerSeries:
 
 
 def _require_zero_const(a: PowerSeries, what: str):
-    c0 = a.coeffs[0]
-    bad = (not c0.is_zero()) if a.mode == "exact" else c0 != 0
-    if bad:
+    if not a.domain.is_zero(a.coeffs[0]):
         raise SeriesError(f"{what} of a series needs a zero constant term; split the constant first")
 
 
@@ -311,13 +428,11 @@ def _require_zero_const(a: PowerSeries, what: str):
 # Series of polynomials and rational functions in z
 
 
-def poly_to_series(p: Poly, center, order: int, mode: str = "exact") -> PowerSeries:
+def poly_to_series(p: Poly, center, order: int, mode="exact") -> PowerSeries:
     """Expand a polynomial (in z and constants) around z = center."""
-    out = [_zero(mode)] * (order + 1)
-    if mode == "exact":
-        center = Frac.of(center)
-    else:
-        center = complex(center)
+    dom = Domain.of(mode)
+    out = [dom.zero] * (order + 1)
+    center = dom.center(center)
     for mono, coeff in p.terms.items():
         zdeg = 0
         rest = []
@@ -326,26 +441,22 @@ def poly_to_series(p: Poly, center, order: int, mode: str = "exact") -> PowerSer
                 zdeg = e
             else:
                 rest.append((v, e))
-        base = Frac(Poly({tuple(rest): coeff}))
-        if mode == "numeric":
-            base = frac_value(base)
+        base = dom.scalar(Frac(Poly({tuple(rest): coeff})))
         # binomial shift: z^zdeg = (center + t)^zdeg
         binom = 1
         for j in range(0, min(zdeg, order) + 1):
             out[j] = out[j] + base * binom * center ** (zdeg - j)
             binom = binom * (zdeg - j) // (j + 1)
-    return PowerSeries(mode, out)
+    return PowerSeries(dom, out)
 
 
-def frac_to_series(f: Frac, center, order: int, mode: str = "exact") -> PowerSeries:
+def frac_to_series(f: Frac, center, order: int, mode="exact") -> PowerSeries:
     """Expand a rational function of z around z = center; the denominator
     must not vanish there."""
     num = poly_to_series(f.num, center, order, mode)
     if f.den.is_one():
         return num
     den = poly_to_series(f.den, center, order, mode)
-    c0 = den.coeffs[0]
-    bad = c0.is_zero() if mode == "exact" else abs(c0) <= NUMERIC_DIV_EPS
-    if bad:
+    if den.domain.is_singular(den.coeffs[0]):
         raise SeriesError("rational coefficient has a pole at the expansion center")
     return num / den

@@ -260,3 +260,16 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "series" in proc.stdout and "transfer-ade" in proc.stdout
+
+
+def test_series_of_a_huge_power_returns():
+    # z^n with n past the order is the zero series; powering by squaring
+    # takes a few dozen products, where n products would never finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "series", "--subject", "z^100000000", "--order", "2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "order 2\ncenter 0\n0: 0\n1: 0\n2: 0\n"

@@ -369,3 +369,54 @@ def test_expand_iterate_matches_nested():
     a = expand_series(Iterate("f", 2), 0.0, 7, mode="numeric", env=env)
     b = expand_series(parse("f(f(z))", env), 0.0, 7, mode="numeric", env=env)
     assert a.close_to(b)
+
+
+# ---------------------------------------------------------------------------
+# numeric mode against exact mode
+
+
+def _rand_analytic(rng, depth):
+    """exp/sin/cos, products, quotients, sums and compositions over z and
+    real rational literals.  Quotients divide by k + z^n with k >= 2, whose
+    zeros lie at distance above 1 from the centers 0 and 1/4; a denominator
+    with adjoined constants would make the exact coefficients rational
+    functions in several symbols, some of which take over ten seconds to
+    expand at order 8."""
+    if depth <= 0:
+        return rng.choice([Z, Z, lit(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))])
+    from adekit.expr import Cos, Sin
+
+    a = _rand_analytic(rng, depth - 1)
+    roll = rng.random()
+    if roll < 0.15:
+        return Exp(a)
+    if roll < 0.3:
+        return Sin(a)
+    if roll < 0.45:
+        return Cos(a)
+    if roll < 0.6:
+        return mul(a, _rand_analytic(rng, depth - 1))
+    if roll < 0.75:
+        return div(a, add(lit(rng.randint(2, 4)), pow_(Z, rng.randint(1, 3))))
+    if roll < 0.85:
+        return add(a, _rand_analytic(rng, depth - 1))
+    return Compose(a, _rand_analytic(rng, depth - 1))
+
+
+def test_numeric_mode_matches_exact_mode_seeded():
+    rng = random.Random(30817)
+    for _ in range(24):
+        e = _rand_analytic(rng, rng.randint(2, 3))
+        for center in (Fraction(0), Fraction(1, 4)):
+            numeric = expand_series(e, complex(center), 8, mode="numeric")
+            exact = expand_series(e, Frac.of(center), 8)
+            assert numeric.close_to(exact.to_numeric()), f"{to_text(e)} at {center}"
+
+
+def test_unknown_mode_is_rejected():
+    from adekit.series import PowerSeries, SeriesError
+
+    with pytest.raises(ExprError):
+        expand_series(Z, 0, 3, mode="float")
+    with pytest.raises(SeriesError):
+        PowerSeries("float", [1])
