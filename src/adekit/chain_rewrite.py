@@ -15,15 +15,23 @@ produces an equation for g.
 
 from __future__ import annotations
 
-from .diffpoly import DiffMono, DiffPoly, diff_mono_text, mono_of, mono_weight
+from .diffpoly import (
+    DiffMono,
+    DiffPoly,
+    derivative_stack,
+    diff_mono_text,
+    mono_of,
+    mono_order,
+    mono_weight,
+)
 from .expr import (
-    Compose,
     DefinitionEnvironment,
     Expression,
     FuncRef,
     ONE,
     ZERO,
     _is_zero,
+    _split_const,
     add,
     differentiate,
     div,
@@ -32,7 +40,6 @@ from .expr import (
     inline,
     lit,
     mul,
-    pow_,
     to_text,
 )
 
@@ -149,17 +156,22 @@ def transfer_residual(support: dict, bound: DefinitionEnvironment, center, order
 
 def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: int, mode):
     """(the residual series, the series of its terms in summing order)."""
+    if not support:
+        return expand_series(ZERO, center, order, mode=mode, env=bound), []
+    # G_j = g^(j) at f(z): the derivative stack of g around f(center),
+    # each composed with the rest of f
+    depth = max(mono_order(m) for m in support)
+    f0, f_tail = _split_const(expand_series(FuncRef("f"), center, order, mode=mode, env=bound))
+    g_at_f0 = expand_series(FuncRef("g"), f0, order + depth, mode=mode, env=bound)
+    gs = [s.compose(f_tail) for s in derivative_stack(g_at_f0, depth)]
     total, terms = None, []
     for mono, coeff in support.items():
-        term = coeff
+        s = expand_series(coeff, center, order, mode=mode, env=bound)
         for j, e in enumerate(mono):
             if e:
-                term = mul(term, pow_(Compose(FuncRef("g", j), FuncRef("f")), e))
-        s = expand_series(term, center, order, mode=mode, env=bound)
+                s = s * gs[j] ** e
         terms.append(s)
         total = s if total is None else total + s
-    if total is None:
-        total = expand_series(ZERO, center, order, mode=mode, env=bound)
     return total, terms
 
 

@@ -484,6 +484,9 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "timing", False):
         ms = int((time.perf_counter() - started) * 1000)
         print(f"wall_time_ms={ms}", file=sys.stderr)

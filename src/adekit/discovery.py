@@ -37,7 +37,7 @@ from .diffpoly import (
     mono_weight,
     normalize,
 )
-from .expr import DefinitionEnvironment, Expression, expand_series, inline
+from .expr import DefinitionEnvironment, Expression, expand_series
 
 SOLVE_MARGIN = 10
 VERIFY_MARGIN = 10
@@ -176,17 +176,20 @@ def snap_scalar(x: complex) -> Frac:
 
 
 # ---------------------------------------------------------------------------
-# Shared column construction
+# The shared kernel
 
 
-def _z_power_series(degree: int, center, order: int, dom):
+def _kernel(series, degree: int, center, rtol: float):
+    """Kernel of the columns z^j * s (each series s, then j = 0..degree),
+    one row per coefficient: (basis, rank, number of rows)."""
+    dom = series[0].domain
+    order = min(s.order for s in series)
     zpoly = Poly.var("z")
-    return [poly_to_series(zpoly**j, center, order, dom) for j in range(degree + 1)]
-
-
-def _rows_from_columns(columns):
-    order = min(s.order for s in columns)
-    return [[s.coeffs[i] for s in columns] for i in range(order + 1)]
+    zpows = [poly_to_series(zpoly**j, center, order, dom) for j in range(degree + 1)]
+    columns = [zp * s for s in series for zp in zpows]
+    rows = [[col.coeffs[i] for col in columns] for i in range(order + 1)]
+    basis, rank = dom.nullspace(rows, rtol)
+    return basis, rank, len(rows)
 
 
 def _coefficient_frac(entries, degree: int) -> Frac:
@@ -231,23 +234,22 @@ def relation_search(
         raise DiscoveryError("relation search needs at least one function")
     if degree < 0:
         raise DiscoveryError("coefficient degree must be nonnegative")
-    unknowns = len(funcs) * (degree + 1)
-    n_solve = unknowns + SOLVE_MARGIN
-    closed = [inline(f, env) for f in funcs]
-    series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in closed]
-    dom = series[0].domain
-    zpows = _z_power_series(degree, center, n_solve, dom)
-    columns = [zpows[j] * s for s in series for j in range(degree + 1)]
-    rows = _rows_from_columns(columns)
-    basis, rank = dom.nullspace(rows, rtol)
-    result = RelationResult(None, degree, rank, unknowns, len(rows), n_solve)
+    n_solve = len(funcs) * (degree + 1) + SOLVE_MARGIN
+    series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in funcs]
+    return _relation(series, degree, center, rtol)
+
+
+def _relation(series, degree: int, center, rtol: float) -> RelationResult:
+    """relation_search on series already expanded to the solve order."""
+    basis, rank, n_rows = _kernel(series, degree, center, rtol)
+    result = RelationResult(None, degree, rank, len(series) * (degree + 1), n_rows, series[0].order)
     if not basis:
         return result
     best = None
     for vec in basis:
         coeffs = [
             _coefficient_frac(vec[k * (degree + 1) : (k + 1) * (degree + 1)], degree)
-            for k in range(len(funcs))
+            for k in range(len(series))
         ]
         coeffs = _normalize_certificate(coeffs)
         key = (
@@ -336,16 +338,9 @@ def find_ade(
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
                 base = expand_series(subject, center, n_solve + w, mode=mode, env=env)
-                dom = base.domain
                 derivs = derivative_stack(base, w)
-                zpows = _z_power_series(c, center, n_solve, dom)
-                columns = []
-                for m in monos:
-                    s = _mono_series(m, derivs, n_solve)
-                    for j in range(c + 1):
-                        columns.append(zpows[j] * s)
-                rows = _rows_from_columns(columns)
-                basis, rank = dom.nullspace(rows, rtol)
+                series = [_mono_series(m, derivs, n_solve) for m in monos]
+                basis, rank, n_rows = _kernel(series, c, center, rtol)
                 if not basis:
                     escalations.append(
                         {
@@ -368,7 +363,7 @@ def find_ade(
                     ade=candidate,
                     found_at=(w, d, c),
                     num_unknowns=unknowns,
-                    num_equations=len(rows),
+                    num_equations=n_rows,
                     solve_order=n_solve,
                     verify_order=verify_order,
                     kernel_dimension=len(basis),

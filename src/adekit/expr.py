@@ -556,38 +556,6 @@ def nth_derivative(e: Expression, n: int) -> Expression:
     return e
 
 
-def substitute(e: Expression, replacement: Expression) -> Expression:
-    """Replace the variable z throughout."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, (Lit, PiConst)):
-        return e
-    if isinstance(e, FuncRef):
-        # a reference is a function of z, so moving its argument composes
-        return e if replacement == Z else Compose(e, replacement)
-    if isinstance(e, Add):
-        return add(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Div):
-        return div(substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, replacement), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(substitute(e.arg, replacement))
-    if isinstance(e, Sin):
-        return Sin(substitute(e.arg, replacement))
-    if isinstance(e, Cos):
-        return Cos(substitute(e.arg, replacement))
-    if isinstance(e, Compose):
-        return Compose(e.outer, substitute(e.inner, replacement))
-    if isinstance(e, Iterate):
-        raise ExprError("substitute needs an inlined expression (no iterate nodes)")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def inline(e: Expression, env: DefinitionEnvironment) -> Expression:
     """Resolve every named reference and iterate to a closed expression."""
     if isinstance(e, (Var, Lit, PiConst)):

@@ -21,7 +21,6 @@ from .expr import (
     Cos,
     DefinitionEnvironment,
     Div,
-    EMPTY_ENV,
     Exp,
     Expression,
     FuncRef,

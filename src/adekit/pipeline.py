@@ -13,26 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diffpoly import DiffMono, DiffPoly, diff_mono_text, holds_on, normalize
+from .diffpoly import (
+    DiffPoly,
+    derivative_stack,
+    diff_mono_text,
+    holds_on,
+    mono_order,
+    normalize,
+)
 from .discovery import (
+    SOLVE_MARGIN,
     DiscoveryError,
     SearchOutcome,
     VerificationError,
+    _mono_series,
+    _relation,
     find_ade,
-    relation_search,
 )
 from .chain_rewrite import support_monomials, transfer_support
-from .expr import (
-    Compose,
-    DefinitionEnvironment,
-    Expression,
-    ONE,
-    expand_series,
-    inline,
-    mul,
-    nth_derivative,
-    pow_,
-)
+from .expr import Compose, DefinitionEnvironment, Expression, expand_series
 
 
 @dataclass
@@ -53,10 +52,8 @@ def check_permutable(
     rtol: float = 1e-9,
 ) -> PermutabilityReport:
     """Compare f(g) and g(f) as series around the center."""
-    cf = inline(f, env)
-    cg = inline(g, env)
-    fog = expand_series(Compose(cf, cg), center, order, mode=mode, env=env)
-    gof = expand_series(Compose(cg, cf), center, order, mode=mode, env=env)
+    fog = expand_series(Compose(f, g), center, order, mode=mode, env=env)
+    gof = expand_series(Compose(g, f), center, order, mode=mode, env=env)
     mismatch = fog.domain.first_mismatch(fog, gof, rtol)
     return PermutabilityReport(mismatch is None, order, mismatch, mode)
 
@@ -75,7 +72,7 @@ def compose_ade(
     with degree and coefficient-degree budgets added."""
     if p.is_zero() or q.is_zero():
         raise DiscoveryError("composition needs two nonzero equations")
-    subject = Compose(inline(f, env), inline(g, env))
+    subject = Compose(f, g)
     w = p.weight + q.weight
     return find_ade(
         subject,
@@ -114,15 +111,12 @@ def iterate_ade(
             kernel_dimension=0,
             escalations=[],
         )
-    closed = inline(f, env)
-    acc_expr = closed
+    acc_expr = f
     acc_ade = p
     outcome = None
     for _ in range(count - 1):
-        # inline leaves the closed expressions as they are, so this searches
-        # Compose(closed, acc_expr)
-        outcome = compose_ade(p, acc_ade, closed, acc_expr, env, center, mode, rtol)
-        acc_expr = Compose(closed, acc_expr)
+        outcome = compose_ade(p, acc_ade, f, acc_expr, env, center, mode, rtol)
+        acc_expr = Compose(f, acc_expr)
         acc_ade = outcome.ade
     return outcome
 
@@ -183,7 +177,7 @@ def transfer_ade(
         support_map = transfer_support(intermediate)
         support = support_monomials(support_map)
         last_intermediate, last_support = intermediate, support
-        funcs = [_mono_function(m, g, env) for m in support]
+        depth = max(mono_order(m) for m in support)
         cap = (
             max_relation_degree
             if max_relation_degree is not None
@@ -191,7 +185,14 @@ def transfer_ade(
         )
         certificate = None
         for deg in range(cap + 1):
-            rel = relation_search(funcs, env, deg, center, mode, rtol)
+            # g is expanded per degree, to the order that degree solves
+            # at: expanding once at the largest degree costs more, since
+            # most transfers stop at the first degrees
+            n_solve = len(support) * (deg + 1) + SOLVE_MARGIN
+            base = expand_series(g, center, n_solve + depth, mode=mode, env=env)
+            derivs = derivative_stack(base, depth)
+            series = [_mono_series(m, derivs, n_solve) for m in support]
+            rel = _relation(series, deg, center, rtol)
             if rel.found:
                 certificate = rel.certificate
                 break
@@ -230,12 +231,3 @@ def transfer_ade(
         verified_order=0,
         escalations=escalations,
     )
-
-
-def _mono_function(m: DiffMono, g: Expression, env: DefinitionEnvironment) -> Expression:
-    closed = inline(g, env)
-    out = ONE
-    for j, e in enumerate(m):
-        if e:
-            out = mul(out, pow_(nth_derivative(closed, j), e))
-    return out

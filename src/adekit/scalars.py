@@ -26,7 +26,7 @@ import cmath
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class ScalarError(ValueError):
@@ -140,9 +140,6 @@ class GaussianRational:
             base = base * base
             n >>= 1
         return out
-
-    def is_rational(self) -> bool:
-        return not self.im
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)

@@ -411,14 +411,6 @@ def series_sin_cos(a: PowerSeries) -> tuple:
     return PowerSeries(dom, s), PowerSeries(dom, c)
 
 
-def series_sin(a: PowerSeries) -> PowerSeries:
-    return series_sin_cos(a)[0]
-
-
-def series_cos(a: PowerSeries) -> PowerSeries:
-    return series_sin_cos(a)[1]
-
-
 def _require_zero_const(a: PowerSeries, what: str):
     if not a.domain.is_zero(a.coeffs[0]):
         raise SeriesError(f"{what} of a series needs a zero constant term; split the constant first")

@@ -161,6 +161,43 @@ def test_rewrite_identity_on_weight_three_corpus(f_text, g_text, degree, order):
         assert (lhs - rhs).is_zero(), mono
 
 
+def _residual_by_expressions(support, bound, center, order, mode="exact"):
+    # the route the rewrite used to take: one expression per term,
+    # coeff * prod Compose(g^(j), f)^e, each expanded on its own
+    total = None
+    for mono, coeff in support.items():
+        term = coeff
+        for j, e in enumerate(mono):
+            if e:
+                term = mul(term, pow_(Compose(FuncRef("g", j), FuncRef("f")), e))
+        s = expand_series(term, center, order, mode=mode, env=bound)
+        total = s if total is None else total + s
+    return total
+
+
+@pytest.mark.parametrize(
+    "f_text,g_text,center",
+    [("z^2", "z^4", Frac.of(1)), ("z+exp(z)", "z+2*pi*i+exp(z)", Frac.of(0))],
+    ids=["power", "translate"],
+)
+def test_transfer_residual_matches_expression_route(f_text, g_text, center):
+    # the residual is built from the derivative stack of g composed with f;
+    # on monomials that do not annihilate f it is far from zero, so this
+    # compares real series, coefficient by coefficient
+    env = DefinitionEnvironment()
+    env.define_text("f", f_text)
+    env.define_text("g", g_text)
+    bound = bound_pair(parse("f", env), parse("g", env), env)
+    for mono in _corpus(3, 3):
+        support = transfer_support(DiffPoly.monomial(mono))
+        got = transfer_residual(support, bound, center, 6)
+        assert got == _residual_by_expressions(support, bound, center, 6), mono
+        if f_text == "z^2":
+            got = transfer_residual(support, bound, 1.0, 6, mode="numeric")
+            want = _residual_by_expressions(support, bound, 1.0, 6, mode="numeric")
+            assert got.close_to(want), mono
+
+
 def test_verify_transfer_positive_pairs():
     p = parse_ade("y2 - y1 + 1")
     assert verify_transfer(p, F_OF, G_OF, PAIR_ENV)

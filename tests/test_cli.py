@@ -273,3 +273,18 @@ def test_series_of_a_huge_power_returns():
     )
     assert proc.returncode == 0
     assert proc.stdout == "order 2\ncenter 0\n0: 0\n1: 0\n2: 0\n"
+
+
+def test_deeply_nested_subject_is_a_usage_error():
+    # the recursive parser and tree walkers run out of stack; that is the
+    # caller's input, so it exits 2, never 1 ("false") with a traceback
+    subject = "(" * 2000 + "z" + ")" * 2000
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "series", "--subject", subject, "--order", "2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: expression nested too deeply\n"
+    assert "Traceback" not in proc.stderr

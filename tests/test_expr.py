@@ -40,7 +40,6 @@ from adekit.expr import (
     pow_,
     scalar_of,
     sub,
-    substitute,
     to_text,
 )
 
@@ -252,19 +251,6 @@ def test_chain_rule_through_compose():
     got = expand_series(e, 0.0, 8, mode="numeric", env=env)
     want = expand_series(parse("2*cos(2*z)"), 0.0, 8, mode="numeric", env=env)
     assert got.close_to(want)
-
-
-def test_substitute_variable():
-    e = parse("z^2+exp(z)")
-    s = substitute(e, parse("2*z"))
-    got = expand_series(s, 0.0, 6, mode="numeric")
-    want = expand_series(parse("4*z^2+exp(2*z)"), 0.0, 6, mode="numeric")
-    assert got.close_to(want)
-
-
-def test_substitute_wraps_references():
-    s = substitute(FuncRef("f"), parse("z+1"))
-    assert isinstance(s, Compose)
 
 
 def test_inline_resolves_nested_names():

@@ -1,0 +1,64 @@
+"""Every module imports only what it uses.
+
+A name imported into a module and never read there is dead weight, and
+after a refactor it is often the last trace of a deleted code path.  The
+check reads each module's syntax tree; ``__init__.py`` is left out
+because re-exporting is its job.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adekit"
+
+# (module, name) pairs that stay imported although the module never reads them
+EXEMPT = {
+    # the benchmark tracer rebinds every module's imported copy of a traced
+    # function, and bench/test_bench.py checks that on this one
+    ("discovery", "poly_gcd"),
+}
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted annotations such as -> "PowerSeries" name their types in a string
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        for name in _imported_names(tree):
+            if name not in used and (path.stem, name) not in EXEMPT:
+                unused.append(f"{path.stem}: {name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)
+

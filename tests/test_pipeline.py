@@ -159,7 +159,11 @@ def test_transfer_escalates_to_second_iterate():
     assert ade_text(rep.intermediate_ade) == "y0*y2 - y1^2 - y0*y1"
     assert ade_text(rep.output_ade) == "y0*y2 - y1^2 - y0*y1"
     assert rep.support_text() == ["y0*y1", "y1^2", "y0*y2"]
-    assert [e["q"] for e in rep.escalations] == [1, 1, 1]
+    assert rep.escalations == [
+        {"q": 1, "relation_degree": 0, "rank": 2, "unknowns": 2},
+        {"q": 1, "relation_degree": 1, "rank": 4, "unknowns": 4},
+        {"q": 1, "relation_degree": 2, "rank": 6, "unknowns": 6},
+    ]
     assert holds_on(rep.output_ade, parse("exp(exp(z))"), EMPTY_ENV, 0, 30)
 
 

@@ -12,9 +12,7 @@ from adekit.series import (
     SeriesError,
     frac_to_series,
     poly_to_series,
-    series_cos,
     series_exp,
-    series_sin,
     series_sin_cos,
 )
 
@@ -83,7 +81,6 @@ def test_sin_cos_pythagoras():
     unit = s * s + c * c
     assert unit[0].is_one()
     assert all(unit[k].is_zero() for k in range(1, 13))
-    assert series_sin(z) == s and series_cos(z) == c
 
 
 def test_compose_exp_of_scaled_identity():
