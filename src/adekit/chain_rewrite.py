@@ -18,6 +18,7 @@ from __future__ import annotations
 from .diffpoly import (
     DiffMono,
     DiffPoly,
+    DiffPolyError,
     derivative_stack,
     diff_mono_text,
     mono_of,
@@ -54,7 +55,7 @@ def derivative_transfer(k: int) -> dict:
     a G-derivative raising the index and costing a factor f'/g'.
     """
     if k < 0:
-        raise ValueError("derivative index must be nonnegative")
+        raise DiffPolyError("derivative index must be nonnegative")
     table = {(1,): ONE}
     for _ in range(k):
         nxt = {}
@@ -183,13 +184,13 @@ def verify_transfer(
     order: int = 20,
     center=0,
     mode: str = "exact",
-    tol: float = 1e-9,
 ) -> bool:
     """Check the rewritten identity for a concrete permutable pair: exactly,
-    or in numeric mode within tol relative to its largest term."""
+    or in numeric mode within the numeric domain's tolerance relative to
+    its largest term."""
     support = transfer_support(p)
     res, terms = _transfer_terms(support, bound_pair(f_expr, g_expr, env), center, order, mode)
-    return res.domain.vanishes(res, terms, tol)
+    return res.domain.vanishes(res, terms)
 
 
 def support_text(support: dict):

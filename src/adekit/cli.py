@@ -487,6 +487,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:
+        # a float value of a huge center or adjoined constant
+        print("error: a value exceeds the floating-point range", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "timing", False):
         ms = int((time.perf_counter() - started) * 1000)
         print(f"wall_time_ms={ms}", file=sys.stderr)

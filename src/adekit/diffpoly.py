@@ -16,6 +16,7 @@ from .scalars import (
     Frac,
     FRAC_ONE,
     GaussianRational,
+    binary_power,
     frac_str,
     primitive_numerators,
     _has_toplevel,
@@ -177,14 +178,7 @@ class DiffPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DiffPolyError("negative power of a differential polynomial")
-        out = DiffPoly.constant(FRAC_ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n) if n else DiffPoly.constant(FRAC_ONE)
 
     def __str__(self):
         return ade_text(self)
@@ -404,8 +398,9 @@ def _residual(p: DiffPoly, subject, env, center, order: int, mode):
     return _apply(p, derivs, center, base.domain)
 
 
-def holds_on(p: DiffPoly, subject, env, center, order: int, mode: str = "exact", tol: float = 1e-9) -> bool:
+def holds_on(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> bool:
     """Whether P[subject] vanishes identically through the given order:
-    exactly, or in numeric mode within tol relative to its largest term."""
+    exactly, or in numeric mode within the numeric domain's tolerance
+    relative to its largest term."""
     res, terms = _residual(p, subject, env, center, order, mode)
-    return res.domain.vanishes(res, terms, tol)
+    return res.domain.vanishes(res, terms)

@@ -25,7 +25,7 @@ from .scalars import (
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
     primitive_numerators,
 )
-from .series import PowerSeries, poly_to_series
+from .series import NUMERIC, PowerSeries, poly_to_series
 from .diffpoly import (
     DiffMono,
     DiffPoly,
@@ -124,9 +124,9 @@ def exact_nullspace(rows):
     return basis, len(pivots)
 
 
-def numeric_nullspace(rows, rtol: float = 1e-9):
-    """Floating-point analogue with partial pivoting and a relative rank
-    threshold."""
+def numeric_nullspace(rows):
+    """Floating-point analogue with partial pivoting; a pivot counts when
+    it exceeds the numeric tolerance relative to the largest entry."""
     if not rows:
         return [], 0
     mat = [[complex(x) for x in row] for row in rows]
@@ -134,7 +134,7 @@ def numeric_nullspace(rows, rtol: float = 1e-9):
     scale = max((abs(x) for row in mat for x in row), default=0.0)
     if scale == 0.0:
         return [[1.0 if j == k else 0.0 for j in range(n)] for k in range(n)], 0
-    cutoff = rtol * scale
+    cutoff = NUMERIC.tolerance * scale
     pivots = []
     r = 0
     for col in range(n):
@@ -179,7 +179,7 @@ def snap_scalar(x: complex) -> Frac:
 # The shared kernel
 
 
-def _kernel(series, degree: int, center, rtol: float):
+def _kernel(series, degree: int, center):
     """Kernel of the columns z^j * s (each series s, then j = 0..degree),
     one row per coefficient: (basis, rank, number of rows)."""
     dom = series[0].domain
@@ -188,7 +188,7 @@ def _kernel(series, degree: int, center, rtol: float):
     zpows = [poly_to_series(zpoly**j, center, order, dom) for j in range(degree + 1)]
     columns = [zp * s for s in series for zp in zpows]
     rows = [[col.coeffs[i] for col in columns] for i in range(order + 1)]
-    basis, rank = dom.nullspace(rows, rtol)
+    basis, rank = dom.nullspace(rows)
     return basis, rank, len(rows)
 
 
@@ -226,7 +226,6 @@ def relation_search(
     degree: int = 0,
     center=0,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> RelationResult:
     """Look for polynomial coefficients c_k(z) of bounded degree with
     sum(c_k * funcs[k]) identically zero."""
@@ -236,12 +235,12 @@ def relation_search(
         raise DiscoveryError("coefficient degree must be nonnegative")
     n_solve = len(funcs) * (degree + 1) + SOLVE_MARGIN
     series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in funcs]
-    return _relation(series, degree, center, rtol)
+    return _relation(series, degree, center)
 
 
-def _relation(series, degree: int, center, rtol: float) -> RelationResult:
+def _relation(series, degree: int, center) -> RelationResult:
     """relation_search on series already expanded to the solve order."""
-    basis, rank, n_rows = _kernel(series, degree, center, rtol)
+    basis, rank, n_rows = _kernel(series, degree, center)
     result = RelationResult(None, degree, rank, len(series) * (degree + 1), n_rows, series[0].order)
     if not basis:
         return result
@@ -322,7 +321,6 @@ def find_ade(
     max_degree: int = 3,
     max_coeff_degree: int = 4,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> SearchOutcome:
     """Smallest differential equation satisfied by the subject, escalating
     weight, then total degree, then coefficient degree (fastest)."""
@@ -340,7 +338,7 @@ def find_ade(
                 base = expand_series(subject, center, n_solve + w, mode=mode, env=env)
                 derivs = derivative_stack(base, w)
                 series = [_mono_series(m, derivs, n_solve) for m in monos]
-                basis, rank, n_rows = _kernel(series, c, center, rtol)
+                basis, rank, n_rows = _kernel(series, c, center)
                 if not basis:
                     escalations.append(
                         {
@@ -354,7 +352,7 @@ def find_ade(
                     continue
                 candidate = _best_candidate(basis, monos, c)
                 verify_order = n_solve + VERIFY_MARGIN
-                if not holds_on(candidate, subject, env, center, verify_order, mode, rtol):
+                if not holds_on(candidate, subject, env, center, verify_order, mode):
                     raise VerificationError(
                         f"candidate {candidate} from stage (w={w}, d={d}, c={c}) "
                         f"failed re-verification at order {verify_order}"

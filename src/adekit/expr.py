@@ -9,6 +9,11 @@ Two extra node features exist only internally and never come out of the
 user grammar: a derivative order on named references (``f''`` produced by
 :func:`differentiate`) and composition with an arbitrary closed outer
 expression (produced by inlining iterates).
+
+Names are resolved in one place: :func:`inline` is the only reader of a
+definition environment.  :func:`expand_series` and :func:`eval_numeric`
+inline once and then walk a closed tree, without named references or
+iterates.
 """
 
 from __future__ import annotations
@@ -551,6 +556,8 @@ def differentiate(e: Expression) -> Expression:
 
 
 def nth_derivative(e: Expression, n: int) -> Expression:
+    if n < 0:
+        raise ExprError("derivative count must be nonnegative")
     for _ in range(n):
         e = differentiate(e)
     return e
@@ -598,14 +605,14 @@ _INF = complex(math.inf, 0.0)
 def eval_numeric(e: Expression, point: complex, env: DefinitionEnvironment | None = None) -> complex:
     """Evaluate at a point; an overflow comes back as an infinite complex
     rather than an exception."""
-    env = env if env is not None else EMPTY_ENV
+    closed = inline(e, env if env is not None else EMPTY_ENV)
     try:
-        return _eval(e, complex(point), env)
+        return _eval(closed, complex(point))
     except OverflowError:
         return _INF
 
 
-def _eval(e: Expression, pt: complex, env: DefinitionEnvironment) -> complex:
+def _eval(e: Expression, pt: complex) -> complex:
     if isinstance(e, Var):
         return pt
     if isinstance(e, Lit):
@@ -613,44 +620,35 @@ def _eval(e: Expression, pt: complex, env: DefinitionEnvironment) -> complex:
     if isinstance(e, PiConst):
         return complex(math.pi)
     if isinstance(e, Add):
-        return _eval(e.left, pt, env) + _eval(e.right, pt, env)
+        return _eval(e.left, pt) + _eval(e.right, pt)
     if isinstance(e, Sub):
-        return _eval(e.left, pt, env) - _eval(e.right, pt, env)
+        return _eval(e.left, pt) - _eval(e.right, pt)
     if isinstance(e, Mul):
-        return _eval(e.left, pt, env) * _eval(e.right, pt, env)
+        return _eval(e.left, pt) * _eval(e.right, pt)
     if isinstance(e, Div):
-        den = _eval(e.right, pt, env)
+        den = _eval(e.right, pt)
         if den == 0:
             raise EvalError("division by zero during evaluation")
-        return _eval(e.left, pt, env) / den
+        return _eval(e.left, pt) / den
     if isinstance(e, Pow):
-        return _eval(e.base, pt, env) ** e.exponent
+        return _eval(e.base, pt) ** e.exponent
     if isinstance(e, Exp):
-        return cmath.exp(_eval(e.arg, pt, env))
+        return cmath.exp(_eval(e.arg, pt))
     if isinstance(e, Sin):
-        return cmath.sin(_eval(e.arg, pt, env))
+        return cmath.sin(_eval(e.arg, pt))
     if isinstance(e, Cos):
-        return cmath.cos(_eval(e.arg, pt, env))
-    if isinstance(e, FuncRef):
-        return _eval(nth_derivative(env.lookup(e.name), e.order), pt, env)
+        return cmath.cos(_eval(e.arg, pt))
     if isinstance(e, Compose):
-        return _eval(e.outer, _eval(e.inner, pt, env), env)
-    if isinstance(e, Iterate):
-        body = env.lookup(e.name)
-        v = pt
-        for _ in range(e.count):
-            v = _eval(body, v, env)
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
+        return _eval(e.outer, _eval(e.inner, pt))
+    raise TypeError(f"not a closed expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # Exact scalar evaluation (z-free expressions)
 
 
-def scalar_of(e: Expression, env: DefinitionEnvironment | None = None) -> Frac:
+def scalar_of(e: Expression) -> Frac:
     """Exact value of a z-free expression as a scalar fraction."""
-    env = env if env is not None else EMPTY_ENV
     if isinstance(e, Var):
         raise ExprError("expression depends on z where a constant is required")
     if isinstance(e, Lit):
@@ -658,21 +656,21 @@ def scalar_of(e: Expression, env: DefinitionEnvironment | None = None) -> Frac:
     if isinstance(e, PiConst):
         return Frac.var("pi")
     if isinstance(e, Add):
-        return scalar_of(e.left, env) + scalar_of(e.right, env)
+        return scalar_of(e.left) + scalar_of(e.right)
     if isinstance(e, Sub):
-        return scalar_of(e.left, env) - scalar_of(e.right, env)
+        return scalar_of(e.left) - scalar_of(e.right)
     if isinstance(e, Mul):
-        return scalar_of(e.left, env) * scalar_of(e.right, env)
+        return scalar_of(e.left) * scalar_of(e.right)
     if isinstance(e, Div):
-        return scalar_of(e.left, env) / scalar_of(e.right, env)
+        return scalar_of(e.left) / scalar_of(e.right)
     if isinstance(e, Pow):
-        return scalar_of(e.base, env) ** e.exponent
+        return scalar_of(e.base) ** e.exponent
     if isinstance(e, Exp):
-        return exp_of_scalar(scalar_of(e.arg, env))
+        return exp_of_scalar(scalar_of(e.arg))
     if isinstance(e, Sin):
-        return sin_of_scalar(scalar_of(e.arg, env))
+        return sin_of_scalar(scalar_of(e.arg))
     if isinstance(e, Cos):
-        return cos_of_scalar(scalar_of(e.arg, env))
+        return cos_of_scalar(scalar_of(e.arg))
     raise ExprError(f"{type(e).__name__} node is not a constant scalar")
 
 
@@ -738,20 +736,21 @@ def expand_series(
     In exact mode the center is a scalar :class:`Frac` (or anything
     coercible); values of exp/sin/cos at nonzero constants are adjoined as
     symbols subject to the quarter-period rule.  In numeric mode the center
-    is complex and everything is floating point.
+    is complex and everything is floating point.  Named references and
+    iterates are inlined from env first.
     """
-    env = env if env is not None else EMPTY_ENV
     if order < 0:
         raise ExprError("expansion order must be nonnegative")
     try:
         dom = Domain.of(mode)
     except SeriesError:
         raise ExprError(f"unknown mode {mode!r}") from None
-    return _expand(e, dom.center(center), order, dom, env)
+    closed = inline(e, env if env is not None else EMPTY_ENV)
+    return _expand(closed, dom.center(center), order, dom)
 
 
-def _expand(e, center, order, dom, env) -> PowerSeries:
-    rec = lambda sub: _expand(sub, center, order, dom, env)
+def _expand(e, center, order, dom) -> PowerSeries:
+    rec = lambda sub: _expand(sub, center, order, dom)
     if isinstance(e, Var):
         cs = [center] + ([dom.one] if order >= 1 else [])
         cs += [dom.zero] * (order + 1 - len(cs))
@@ -781,19 +780,10 @@ def _expand(e, center, order, dom, env) -> PowerSeries:
         if isinstance(e, Sin):
             return s.scale(c0) + c.scale(s0)
         return c.scale(c0) - s.scale(s0)
-    if isinstance(e, FuncRef):
-        return rec(nth_derivative(env.lookup(e.name), e.order))
     if isinstance(e, Compose):
         u0, tail = _split_const(rec(e.inner))
-        return _expand(e.outer, u0, order, dom, env).compose(tail)
-    if isinstance(e, Iterate):
-        body = env.lookup(e.name)
-        out = rec(body)
-        for _ in range(e.count - 1):
-            u0, tail = _split_const(out)
-            out = _expand(body, u0, order, dom, env).compose(tail)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+        return _expand(e.outer, u0, order, dom).compose(tail)
+    raise TypeError(f"not a closed expression node: {e!r}")
 
 
 def _split_const(s: PowerSeries):

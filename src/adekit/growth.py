@@ -23,8 +23,6 @@ from .expr import (
     Div,
     Exp,
     Expression,
-    FuncRef,
-    Iterate,
     Lit,
     Mul,
     PiConst,
@@ -33,7 +31,6 @@ from .expr import (
     Sub,
     Var,
     inline,
-    nth_derivative,
 )
 
 TAU = 2.0 * math.pi
@@ -153,8 +150,10 @@ def _lp_trig(a: LogPolar, fn):
     return LogPolar.from_complex(v)
 
 
-def eval_log_polar(e: Expression, arg: LogPolar, env: DefinitionEnvironment):
-    """Evaluate with a log-polar argument; OVERFLOW propagates."""
+def eval_log_polar(e: Expression, arg: LogPolar):
+    """Evaluate with a log-polar argument; OVERFLOW propagates.  Closed
+    expressions only: resolve named references with
+    :func:`~adekit.expr.inline` first."""
     if isinstance(e, Var):
         return arg
     if isinstance(e, Lit):
@@ -162,8 +161,8 @@ def eval_log_polar(e: Expression, arg: LogPolar, env: DefinitionEnvironment):
     if isinstance(e, PiConst):
         return LogPolar(math.log(math.pi), 0.0)
     if isinstance(e, (Add, Sub, Mul, Div)):
-        a = eval_log_polar(e.left, arg, env)
-        b = eval_log_polar(e.right, arg, env)
+        a = eval_log_polar(e.left, arg)
+        b = eval_log_polar(e.right, arg)
         if a is OVERFLOW or b is OVERFLOW:
             return OVERFLOW
         if isinstance(e, Add):
@@ -174,33 +173,23 @@ def eval_log_polar(e: Expression, arg: LogPolar, env: DefinitionEnvironment):
             return _lp_mul(a, b)
         return _lp_div(a, b)
     if isinstance(e, Pow):
-        a = eval_log_polar(e.base, arg, env)
+        a = eval_log_polar(e.base, arg)
         return OVERFLOW if a is OVERFLOW else _lp_pow(a, e.exponent)
     if isinstance(e, Exp):
-        a = eval_log_polar(e.arg, arg, env)
+        a = eval_log_polar(e.arg, arg)
         return OVERFLOW if a is OVERFLOW else _lp_exp(a)
     if isinstance(e, Sin):
-        a = eval_log_polar(e.arg, arg, env)
+        a = eval_log_polar(e.arg, arg)
         return OVERFLOW if a is OVERFLOW else _lp_trig(a, cmath.sin)
     if isinstance(e, Cos):
-        a = eval_log_polar(e.arg, arg, env)
+        a = eval_log_polar(e.arg, arg)
         return OVERFLOW if a is OVERFLOW else _lp_trig(a, cmath.cos)
-    if isinstance(e, FuncRef):
-        return eval_log_polar(nth_derivative(env.lookup(e.name), e.order), arg, env)
     if isinstance(e, Compose):
-        inner = eval_log_polar(e.inner, arg, env)
+        inner = eval_log_polar(e.inner, arg)
         if inner is OVERFLOW:
             return OVERFLOW
-        return eval_log_polar(e.outer, inner, env)
-    if isinstance(e, Iterate):
-        body = env.lookup(e.name)
-        v = arg
-        for _ in range(e.count):
-            v = eval_log_polar(body, v, env)
-            if v is OVERFLOW:
-                return OVERFLOW
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
+        return eval_log_polar(e.outer, inner)
+    raise TypeError(f"not a closed expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +217,7 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
     for k in range(samples):
         theta = TAU * k / samples
         z = LogPolar(math.log(r), theta)
-        v = eval_log_polar(closed, z, env)
+        v = eval_log_polar(closed, z)
         out.append(OVERFLOW if v is OVERFLOW else v.log_abs)
     return out
 

@@ -49,12 +49,11 @@ def check_permutable(
     order: int = 16,
     center=0,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> PermutabilityReport:
     """Compare f(g) and g(f) as series around the center."""
     fog = expand_series(Compose(f, g), center, order, mode=mode, env=env)
     gof = expand_series(Compose(g, f), center, order, mode=mode, env=env)
-    mismatch = fog.domain.first_mismatch(fog, gof, rtol)
+    mismatch = fog.domain.first_mismatch(fog, gof)
     return PermutabilityReport(mismatch is None, order, mismatch, mode)
 
 
@@ -66,7 +65,6 @@ def compose_ade(
     env: DefinitionEnvironment,
     center=0,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> SearchOutcome:
     """Equation for f(g) searched at the combined weight of the inputs,
     with degree and coefficient-degree budgets added."""
@@ -83,7 +81,6 @@ def compose_ade(
         max_degree=p.total_degree + q.total_degree,
         max_coeff_degree=p.coeff_degree + q.coeff_degree + 2,
         mode=mode,
-        rtol=rtol,
     )
 
 
@@ -94,7 +91,6 @@ def iterate_ade(
     env: DefinitionEnvironment,
     center=0,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> SearchOutcome:
     """Equation for the count-fold composition of f with itself, built up
     one composition at a time."""
@@ -115,7 +111,7 @@ def iterate_ade(
     acc_ade = p
     outcome = None
     for _ in range(count - 1):
-        outcome = compose_ade(p, acc_ade, f, acc_expr, env, center, mode, rtol)
+        outcome = compose_ade(p, acc_ade, f, acc_expr, env, center, mode)
         acc_expr = Compose(f, acc_expr)
         acc_ade = outcome.ade
     return outcome
@@ -151,7 +147,6 @@ def transfer_ade(
     verified_order: int = 30,
     max_relation_degree: int | None = None,
     mode: str = "exact",
-    rtol: float = 1e-9,
 ) -> TransferReport:
     """Carry an equation for f over to its permutable partner g.
 
@@ -166,14 +161,14 @@ def transfer_ade(
         raise DiscoveryError("iterate bounds must satisfy 1 <= q <= max_q")
     if p.is_zero():
         raise DiscoveryError("cannot transfer the zero equation")
-    if not holds_on(p, f, env, center, 12 + p.order, mode, rtol):
+    if not holds_on(p, f, env, center, 12 + p.order, mode):
         raise DiscoveryError("the input equation does not hold for the source function")
 
     escalations = []
     last_intermediate = None
     last_support: list = []
     for qq in range(q, max_q + 1):
-        intermediate = p if qq == 1 else iterate_ade(f, p, qq, env, center, mode, rtol).ade
+        intermediate = p if qq == 1 else iterate_ade(f, p, qq, env, center, mode).ade
         support_map = transfer_support(intermediate)
         support = support_monomials(support_map)
         last_intermediate, last_support = intermediate, support
@@ -192,7 +187,7 @@ def transfer_ade(
             base = expand_series(g, center, n_solve + depth, mode=mode, env=env)
             derivs = derivative_stack(base, depth)
             series = [_mono_series(m, derivs, n_solve) for m in support]
-            rel = _relation(series, deg, center, rtol)
+            rel = _relation(series, deg, center)
             if rel.found:
                 certificate = rel.certificate
                 break
@@ -209,7 +204,7 @@ def transfer_ade(
         candidate = normalize(
             DiffPoly({m: c for m, c in zip(support, certificate) if not c.is_zero()})
         )
-        if not holds_on(candidate, g, env, center, verified_order, mode, rtol):
+        if not holds_on(candidate, g, env, center, verified_order, mode):
             raise VerificationError(
                 f"transferred candidate {candidate} failed verification at order {verified_order}"
             )

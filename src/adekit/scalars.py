@@ -48,6 +48,17 @@ def _as_fraction(x) -> Fraction:
 _FR_ZERO = Fraction(0)
 
 
+def binary_power(x, n: int):
+    """x**n for n >= 1 by left-to-right binary powering: n = 2 and n = 3
+    form x*x and (x*x)*x, as repeated multiplication would."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 class GaussianRational:
     """a + b*i with exact rational parts."""
 
@@ -132,14 +143,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n) if n else GR_ONE
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -348,10 +352,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ScalarError("negative polynomial power")
-        out = Poly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return binary_power(self, n) if n else Poly.one()
 
     def leading(self) -> tuple:
         """(monomial, coefficient) maximal in graded-lex order."""
@@ -673,10 +674,7 @@ class Frac:
     def __pow__(self, n: int):
         if n < 0:
             return (Frac.of(1) / self) ** (-n)
-        out = FRAC_ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return binary_power(self, n) if n else FRAC_ONE
 
     def __str__(self):
         return frac_str(self)

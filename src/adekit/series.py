@@ -6,7 +6,9 @@ explicit and monotone.  Exact coefficients are :class:`~adekit.scalars.Frac`
 values (z-free); numeric coefficients are Python complex.  Everything that
 differs between the two lives on a :class:`Domain`; every series carries
 its domain, and :meth:`Domain.of` is the one place that reads the mode
-names "exact" and "numeric".
+names "exact" and "numeric".  The one numeric tolerance is
+:attr:`NumericDomain.tolerance`: the exact domain compares exactly, so
+no caller passes a tolerance.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .scalars import (
     GaussianRational,
     PI,
     Poly,
+    binary_power,
     cos_of_scalar,
     exp_of_scalar,
     frac_str,
@@ -30,7 +33,6 @@ from .scalars import (
     sin_of_scalar,
 )
 
-DEFAULT_REL_TOL = 1e-9
 NUMERIC_DIV_EPS = 1e-12
 
 
@@ -49,7 +51,9 @@ class ModeMismatch(SeriesError):
 class Domain:
     """A coefficient field: its constants, coercions, zero tests, the
     values of elementary functions at a constant term, how residuals are
-    compared, and how a linear system over it is solved."""
+    compared, and how a linear system over it is solved.  No method takes
+    a tolerance: the exact domain compares exactly and the numeric one
+    reads its own."""
 
     name = ""
 
@@ -103,15 +107,15 @@ class ExactDomain(Domain):
     def max_abs(self, coeffs):
         raise SeriesError("max_abs is a numeric-mode helper")
 
-    def vanishes(self, residual: "PowerSeries", terms, tol: float) -> bool:
+    def vanishes(self, residual: "PowerSeries", terms) -> bool:
         return residual.is_zero()
 
-    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries", tol: float):
+    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries"):
         """Index of the first coefficient where a and b differ, or None."""
         n = min(a.order, b.order)
         return next((k for k in range(n + 1) if a.coeffs[k] != b.coeffs[k]), None)
 
-    def nullspace(self, rows, rtol: float):
+    def nullspace(self, rows):
         from .discovery import exact_nullspace
 
         return exact_nullspace(rows)
@@ -121,9 +125,10 @@ class ExactDomain(Domain):
 
 
 class NumericDomain(Domain):
-    """Complex floats; comparisons carry an explicit tolerance."""
+    """Complex floats; comparisons hold to a relative tolerance."""
 
     name = "numeric"
+    tolerance = 1e-9
     zero = 0j
     one = 1 + 0j
     pi = complex(math.pi)
@@ -161,21 +166,22 @@ class NumericDomain(Domain):
     def max_abs(self, coeffs) -> float:
         return max(abs(c) for c in coeffs)
 
-    def vanishes(self, residual: "PowerSeries", terms, tol: float) -> bool:
-        """Zero within tol relative to the largest of the summed terms."""
+    def vanishes(self, residual: "PowerSeries", terms) -> bool:
+        """Zero within the tolerance relative to the largest of the summed
+        terms."""
         scale = max([1.0] + [t.max_abs() for t in terms])
-        return residual.max_abs() <= tol * scale
+        return residual.max_abs() <= self.tolerance * scale
 
-    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries", tol: float):
-        bound = tol * max(1.0, a.max_abs(), b.max_abs())
+    def first_mismatch(self, a: "PowerSeries", b: "PowerSeries"):
+        bound = self.tolerance * max(1.0, a.max_abs(), b.max_abs())
         n = min(a.order, b.order)
         return next((k for k in range(n + 1) if abs(a.coeffs[k] - b.coeffs[k]) > bound), None)
 
-    def nullspace(self, rows, rtol: float):
+    def nullspace(self, rows):
         """Kernel vectors snapped back to small exact rationals."""
         from .discovery import numeric_nullspace, snap_scalar
 
-        basis, rank = numeric_nullspace(rows, rtol)
+        basis, rank = numeric_nullspace(rows)
         return [[snap_scalar(x) for x in vec] for vec in basis], rank
 
     def to_numeric(self, s: "PowerSeries") -> "PowerSeries":
@@ -316,18 +322,11 @@ class PowerSeries:
         return PowerSeries(dom, q)
 
     def __pow__(self, n: int):
-        """Left-to-right binary powering: n = 2 and n = 3 form s*s and
-        (s*s)*s, as repeated multiplication would."""
         if n < 0:
             raise SeriesError("negative series power; divide explicitly instead")
         if n == 0:
             return PowerSeries.constant(self.domain.one, self.order, self.domain)
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return binary_power(self, n)
 
     # -- calculus -----------------------------------------------------------
 
@@ -355,21 +354,18 @@ class PowerSeries:
     def to_numeric(self) -> "PowerSeries":
         return self.domain.to_numeric(self)
 
-    def close_to(self, other: "PowerSeries", rel_tol: float = DEFAULT_REL_TOL, floor: float = 1e-6) -> bool:
-        """Numeric comparison: coefficients with magnitude >= floor must agree
-        to rel_tol; smaller ones must agree within rel_tol absolutely."""
+    def close_to(self, other: "PowerSeries") -> bool:
+        """Numeric comparison: coefficients of magnitude at least 1e-6 must
+        agree to the numeric tolerance relatively, smaller ones absolutely."""
         a = self.to_numeric()
         b = other.to_numeric()
+        tol = NUMERIC.tolerance
         n = min(a.order, b.order)
         for k in range(n + 1):
             x, y = a.coeffs[k], b.coeffs[k]
             scale = max(abs(x), abs(y))
-            if scale >= floor:
-                if abs(x - y) > rel_tol * scale:
-                    return False
-            else:
-                if abs(x - y) > rel_tol:
-                    return False
+            if abs(x - y) > tol * (scale if scale >= 1e-6 else 1.0):
+                return False
         return True
 
 

@@ -288,3 +288,42 @@ def test_deeply_nested_subject_is_a_usage_error():
     assert proc.returncode == 2
     assert proc.stderr == "error: expression nested too deeply\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_series_at_a_huge_power_center_returns():
+    # exact powers square too: pi^n takes a few dozen products, not n
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "series", "--subject", "z", "--center", "pi^100000000", "--order", "1"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "order 1\ncenter pi^100000000\n0: pi^100000000\n1: 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the float value of a center or an adjoined constant overflows
+        ("series", "--subject", "exp(z)", "--center", "pi^1000", "--order", "1"),
+        ("series", "--subject", "exp(z)", "--center", "10^400", "--order", "1"),
+        ("series", "--subject", "exp(z)", "--center", "pi^1000", "--order", "1", "--mode", "numeric"),
+        ("series", "--subject", "exp(z)", "--center", "10^400", "--order", "1", "--mode", "numeric"),
+        # negative derivative counts
+        ("rewrite-chain", "--order", "-1"),
+        ("diff", "--subject", "z^2", "--count", "-1"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv):
+    # exit 1 means "false"; a failure on the caller's input is exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -200,21 +200,21 @@ def test_candidate_monomials_growth():
 
 def test_relation_search_circular_identity():
     funcs = [parse("sin(z)*sin(z)"), parse("cos(z)*cos(z)"), parse("1")]
-    rel = relation_search(funcs, EMPTY_ENV, 0, 0, "exact", 1e-9)
+    rel = relation_search(funcs, EMPTY_ENV, 0, 0, "exact")
     assert rel.found and rel.rank == 2
     assert [str(c) for c in rel.certificate] == ["1", "1", "-1"]
 
 
 def test_relation_search_reports_independence():
     funcs = [parse("exp(z)"), parse("exp(2*z)")]
-    rel = relation_search(funcs, EMPTY_ENV, 3, 0, "exact", 1e-9)
+    rel = relation_search(funcs, EMPTY_ENV, 3, 0, "exact")
     assert not rel.found
     assert rel.rank == rel.num_unknowns == 8
 
 
 def test_relation_search_numeric_mode():
     funcs = [parse("sin(z)*sin(z)"), parse("cos(z)*cos(z)"), parse("1")]
-    rel = relation_search(funcs, EMPTY_ENV, 0, 0.2, "numeric", 1e-9)
+    rel = relation_search(funcs, EMPTY_ENV, 0, 0.2, "numeric")
     assert rel.found
     assert [str(c) for c in rel.certificate] == ["1", "1", "-1"]
 

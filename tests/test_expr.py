@@ -390,6 +390,10 @@ def _rand_analytic(rng, depth):
 
 
 def test_numeric_mode_matches_exact_mode_seeded():
+    # the three numeric evaluators agree at the center too: the value, the
+    # series' constant term and the log-polar value
+    from adekit.growth import LogPolar, eval_log_polar
+
     rng = random.Random(30817)
     for _ in range(24):
         e = _rand_analytic(rng, rng.randint(2, 3))
@@ -397,6 +401,27 @@ def test_numeric_mode_matches_exact_mode_seeded():
             numeric = expand_series(e, complex(center), 8, mode="numeric")
             exact = expand_series(e, Frac.of(center), 8)
             assert numeric.close_to(exact.to_numeric()), f"{to_text(e)} at {center}"
+            value = eval_numeric(e, complex(center))
+            polar = eval_log_polar(e, LogPolar.from_complex(complex(center))).to_complex()
+            scale = max(1.0, abs(value))
+            assert abs(numeric[0] - value) <= 1e-12 * scale, f"{to_text(e)} at {center}"
+            assert abs(polar - value) <= 1e-12 * scale, f"{to_text(e)} at {center}"
+
+
+def test_nested_definitions_expand_as_their_inlined_tree():
+    env = DefinitionEnvironment()
+    env.define_text("f", "z/2+exp(z)/3")
+    env.define_text("g", "f(f(z))")
+    env.define_text("h", "sin(g(z))*f'(z) + iter(f, 2)")
+    e = parse("h''(z/3) + g'(z)", env)
+    closed = inline(e, env)
+    for center in (Fraction(0), Fraction(1, 4)):
+        assert expand_series(e, Frac.of(center), 4, env=env) == expand_series(closed, Frac.of(center), 4)
+        for c in (complex(center), complex(center) - 0.3j):
+            got = expand_series(e, c, 6, mode="numeric", env=env)
+            want = expand_series(closed, c, 6, mode="numeric")
+            assert list(map(repr, got)) == list(map(repr, want))
+            assert repr(eval_numeric(e, c, env)) == repr(eval_numeric(closed, c))
 
 
 def test_unknown_mode_is_rejected():

@@ -45,29 +45,29 @@ def test_log_polar_to_complex_guards_range():
 def test_eval_log_polar_matches_direct_arithmetic():
     e = parse("(z+1)*(z-1) + z^3/2")
     for z0 in (2.0, -1.5 + 0.5j, 0.25j):
-        got = eval_log_polar(e, LogPolar.from_complex(z0), EMPTY_ENV)
+        got = eval_log_polar(e, LogPolar.from_complex(z0))
         want = (z0 + 1) * (z0 - 1) + z0**3 / 2
         assert abs(got.to_complex() - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_eval_log_polar_cancellation():
-    got = eval_log_polar(parse("0*exp(z)"), LogPolar.from_complex(2.0), EMPTY_ENV)
+    got = eval_log_polar(parse("0*exp(z)"), LogPolar.from_complex(2.0))
     assert got.is_zero()
     # subtraction cancels through rect/phase rounding: tiny, not exactly zero
-    got = eval_log_polar(parse("(z+1) - (z+1)"), LogPolar.from_complex(2.0), EMPTY_ENV)
+    got = eval_log_polar(parse("(z+1) - (z+1)"), LogPolar.from_complex(2.0))
     assert got.is_zero() or got.log_abs < -30.0
 
 
 def test_eval_log_polar_survives_a_triple_tower():
     # exp(exp(exp(4))) has log-modulus near 5.1e23, far past float range
     # for the value itself but an easy float as a logarithm
-    got = eval_log_polar(EXP3, LogPolar.from_complex(4.0), EMPTY_ENV)
+    got = eval_log_polar(EXP3, LogPolar.from_complex(4.0))
     assert got is not OVERFLOW
     assert math.isclose(got.log_abs, math.exp(math.exp(4.0)), rel_tol=1e-12)
 
 
 def test_eval_log_polar_overflow_marker_on_quadruple_tower():
-    got = eval_log_polar(EXP4, LogPolar.from_complex(4.0), EMPTY_ENV)
+    got = eval_log_polar(EXP4, LogPolar.from_complex(4.0))
     assert got is OVERFLOW
 
 
@@ -127,7 +127,7 @@ def test_compose_iterate_unrolls():
     sq = parse("z^2")
     assert compose_iterate(sq, 1) is sq
     third = compose_iterate(sq, 3)
-    got = eval_log_polar(third, LogPolar.from_complex(2.0), EMPTY_ENV)
+    got = eval_log_polar(third, LogPolar.from_complex(2.0))
     assert abs(got.to_complex() - 256.0) < 1e-9
 
 

@@ -62,3 +62,45 @@ def test_no_unused_imports():
                 unused.append(f"{path.stem}: {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
 
+
+
+def _calls_by_function(tree):
+    """(enclosing function name or None, call node) for every call."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    yield owner, child
+                yield from walk(child, owner)
+
+    return walk(tree, None)
+
+
+def test_only_inline_reads_definitions():
+    # names are resolved in one place; every other walker sees closed trees
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, call in _calls_by_function(tree):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "lookup":
+                if (path.stem, owner) != ("expr", "inline"):
+                    readers.append(f"{path.stem}.{owner}:{call.lineno}")
+    assert not readers, "definitions read outside expr.inline: " + ", ".join(readers)
+
+
+def test_searches_take_no_tolerance():
+    # the numeric tolerance belongs to the numeric domain
+    knobs = {"rtol", "tol", "rel_tol", "floor"}
+    found = []
+    for stem in ("discovery", "pipeline", "diffpoly", "chain_rewrite"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg in knobs:
+                        found.append(f"{stem}.{node.name}({arg.arg})")
+    assert not found, "tolerance parameters: " + ", ".join(found)
