@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 from .diffpoly import (
     DiffPoly,
-    derivative_stack,
     diff_mono_text,
     holds_on,
-    mono_order,
     normalize,
 )
 from .discovery import (
@@ -26,7 +24,7 @@ from .discovery import (
     DiscoveryError,
     SearchOutcome,
     VerificationError,
-    _mono_series,
+    _Expansion,
     _relation,
     find_ade,
 )
@@ -165,6 +163,7 @@ def transfer_ade(
         raise DiscoveryError("the input equation does not hold for the source function")
 
     escalations = []
+    g_expansion = _Expansion(g, env, center, mode)
     last_intermediate = None
     last_support: list = []
     for qq in range(q, max_q + 1):
@@ -172,7 +171,6 @@ def transfer_ade(
         support_map = transfer_support(intermediate)
         support = support_monomials(support_map)
         last_intermediate, last_support = intermediate, support
-        depth = max(mono_order(m) for m in support)
         cap = (
             max_relation_degree
             if max_relation_degree is not None
@@ -180,13 +178,8 @@ def transfer_ade(
         )
         certificate = None
         for deg in range(cap + 1):
-            # g is expanded per degree, to the order that degree solves
-            # at: expanding once at the largest degree costs more, since
-            # most transfers stop at the first degrees
             n_solve = len(support) * (deg + 1) + SOLVE_MARGIN
-            base = expand_series(g, center, n_solve + depth, mode=mode, env=env)
-            derivs = derivative_stack(base, depth)
-            series = [_mono_series(m, derivs, n_solve) for m in support]
+            series = g_expansion.monomial_series(support, n_solve)
             rel = _relation(series, deg, center)
             if rel.found:
                 certificate = rel.certificate

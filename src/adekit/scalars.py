@@ -164,16 +164,21 @@ def gauss_str(c: GaussianRational) -> str:
     """Canonical compact text, re-readable by the expression grammar."""
     if not c:
         return "0"
+    try:
+        re_txt, im_txt = str(c.re), str(c.im)
+    except ValueError:
+        # Python's limit on the digits of an integer turned into text
+        raise ScalarError("number has too many digits to print") from None
     parts = []
     if c.re:
-        parts.append(str(c.re))
+        parts.append(re_txt)
     if c.im:
         if c.im == 1:
             imtxt = "i"
         elif c.im == -1:
             imtxt = "-i"
         else:
-            imtxt = f"{c.im}*i"
+            imtxt = f"{im_txt}*i"
         if parts and not imtxt.startswith("-"):
             parts.append("+" + imtxt)
         else:

@@ -327,3 +327,17 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_number_too_long_to_print_is_a_usage_error():
+    # Python refuses to turn an integer of more than 4300 digits into
+    # text; 2^20000 has 6021, and a crash must not read as exit 1 ("false")
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "series", "--subject", "2^20000", "--order", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: number has too many digits to print\n"
+    assert "Traceback" not in proc.stderr

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from adekit import discovery
 from adekit.scalars import Frac, GaussianRational, Poly
+from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
 from adekit.expr import EMPTY_ENV, DefinitionEnvironment, parse
 from adekit.diffpoly import ade_text, holds_on, mono_weight, mono_total_degree, parse_ade
 from adekit.discovery import (
     BoundExhausted,
     DiscoveryError,
+    _kernel,
     candidate_monomials,
     exact_nullspace,
     find_ade,
@@ -160,6 +163,59 @@ def test_exact_nullspace_matches_gauss_jordan_reference():
             assert _reference_rank(basis) == len(basis)
 
 
+def _kernel_rows(monkeypatch, series, degree, center):
+    """The rows _kernel hands to its domain's nullspace."""
+    seen = []
+    monkeypatch.setattr(series[0].domain, "nullspace", lambda rows: seen.append(rows) or ([], 0))
+    _kernel(series, degree, center)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _product_route_rows(series, degree, center):
+    """Each column as the series of z^j around the center times s."""
+    dom = series[0].domain
+    order = min(s.order for s in series)
+    zpows = [poly_to_series(Poly.var("z") ** j, center, order, dom) for j in range(degree + 1)]
+    columns = [zp * s for s in series for zp in zpows]
+    return [[col.coeffs[i] for col in columns] for i in range(order + 1)]
+
+
+def test_kernel_columns_by_shift_match_the_product_route(monkeypatch):
+    rng = random.Random(61)
+    pi = Frac(Poly.var("pi"))
+    centers = [Frac.of(0), Frac.of(Fraction(1, 4)), Frac.of(GaussianRational(1, 1)), pi]
+    for center in centers:
+        for degree in range(4):
+            order = rng.randint(6, 9)
+            series = [
+                PowerSeries(EXACT, [_rand_entry(rng, "pi") for _ in range(order + 1)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            rows = _kernel_rows(monkeypatch, series, degree, center)
+            assert rows == _product_route_rows(series, degree, center)
+
+
+def test_kernel_columns_by_shift_numeric(monkeypatch):
+    # up to z^1 the shift forms the same sums as the product; from z^2 on
+    # it nests c*(c*s) where the product has (c^2)*s, so they agree to
+    # rounding
+    rng = random.Random(62)
+    for degree in range(4):
+        series = [
+            PowerSeries(NUMERIC, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(13)])
+            for _ in range(2)
+        ]
+        for center in (0, 0.3):
+            rows = _kernel_rows(monkeypatch, series, degree, center)
+            want = _product_route_rows(series, degree, center)
+            if center == 0 or degree <= 1:
+                assert rows == want
+                continue
+            scale = max(abs(x) for row in want for x in row)
+            assert all(abs(x - y) <= 1e-14 * scale for r, w in zip(rows, want) for x, y in zip(r, w))
+
+
 def test_numeric_nullspace_matches_exact_rank():
     rows = [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]
     basis, rank = numeric_nullspace(rows)
@@ -271,6 +327,31 @@ def test_find_ade_polynomial_subject():
 def test_find_ade_numeric_mode():
     out = find_ade(parse("exp(z)"), EMPTY_ENV, center=0.3, mode="numeric")
     assert ade_text(out.ade) == "y1 - y0"
+
+
+def test_find_ade_expands_once_per_increase_of_the_solve_order(monkeypatch):
+    # the five stages solve at orders 13, 16, 15, 20 and 14, plus one
+    # derivative of the subject at weight 1 and two at weight 2: the
+    # expansion grows at the first, second and fourth, and the others read
+    # truncations
+    orders = []
+    expand = discovery.expand_series
+
+    def counting(subject, center, order, **kw):
+        orders.append(order)
+        return expand(subject, center, order, **kw)
+
+    monkeypatch.setattr(discovery, "expand_series", counting)
+    out = find_ade(parse("sin(z)"), EMPTY_ENV, max_degree=2, max_coeff_degree=1)
+    assert orders == [14, 17, 21]
+    assert ade_text(out.ade) == "y2 + y0"
+    assert out.found_at == (2, 1, 0)
+    assert [(e["weight"], e["degree"], e["coeff_degree"], e["unknowns"], e["rank"]) for e in out.escalations] == [
+        (1, 1, 0, 3, 3),
+        (1, 1, 1, 6, 6),
+        (1, 2, 0, 5, 5),
+        (1, 2, 1, 10, 10),
+    ]
 
 
 def test_find_ade_result_verifies_beyond_solve_order():

@@ -99,6 +99,56 @@ def test_compose_requires_zero_constant_term():
         series_exp(z).compose(shifted)
 
 
+def _schoolbook(a, b):
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        s = a.domain.zero
+        for j in range(k + 1):
+            s = s + a.coeffs[j] * b.coeffs[k - j]
+        out.append(s)
+    return out
+
+
+def _zero_heavy(rng, order, value, zeros):
+    shape = rng.choice(["runs", "zero constant", "all zero"])
+    if shape == "all zero":
+        return [rng.choice(zeros) for _ in range(order + 1)]
+    out = []
+    while len(out) < order + 1:
+        run = rng.randint(1, 4)
+        out += [rng.choice(zeros) for _ in range(run)] if rng.random() < 0.5 else [value() for _ in range(run)]
+    out = out[: order + 1]
+    if shape == "zero constant":
+        out[0] = rng.choice(zeros)
+    return out
+
+
+def test_sparse_product_is_the_schoolbook_product():
+    rng = random.Random(7101)
+
+    def exact_value():
+        return Frac.of(GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2)))
+
+    def numeric_value():
+        # a signed zero in one part now and then
+        return complex(*(rng.choice([-0.0, 0.0]) if rng.random() < 0.2 else rng.uniform(-3, 3) for _ in "ri"))
+
+    def signed(cs):
+        return [(x.real, math.copysign(1.0, x.real), x.imag, math.copysign(1.0, x.imag)) for x in cs]
+
+    exact = ("exact", exact_value, [Frac.of(0)], list)
+    numeric = ("numeric", numeric_value, [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)], signed)
+    for trial in range(120):
+        na, nb = rng.randint(3, 14), rng.randint(3, 14)
+        for mode, value, zeros, key in (exact, numeric):
+            a = PowerSeries(mode, _zero_heavy(rng, na, value, zeros))
+            # every other right factor is dense, so long sums get formed
+            b = [value() for _ in range(nb + 1)] if trial % 2 else _zero_heavy(rng, nb, value, zeros)
+            b = PowerSeries(mode, b)
+            assert key((a * b).coeffs) == key(_schoolbook(a, b))
+
+
 def test_poly_to_series_binomial_shift():
     # (z)^2 about center 3 reads 9 + 6(z-3) + (z-3)^2
     z = Poly.var("z")
