@@ -23,6 +23,8 @@ from .diffpoly import (
     diff_mono_text,
     mono_of,
     mono_order,
+    mono_product,
+    mono_rank,
     mono_weight,
 )
 from .expr import (
@@ -82,11 +84,7 @@ def _table_product(a: dict, b: dict) -> dict:
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            n = max(len(ma), len(mb))
-            m = mono_of(
-                x + y
-                for x, y in zip(ma + (0,) * (n - len(ma)), mb + (0,) * (n - len(mb)))
-            )
+            m = mono_product(ma, mb)
             c = mul(ca, cb)
             out[m] = add(out[m], c) if m in out else c
     return out
@@ -118,8 +116,6 @@ def transfer_support(p: DiffPoly) -> dict:
 
 def support_monomials(support: dict):
     """G-monomials in ascending canonical order."""
-    from .diffpoly import mono_rank
-
     return sorted(support, key=mono_rank)
 
 
@@ -129,8 +125,6 @@ def max_support_weight(support: dict) -> int:
 
 def table_text(table: dict) -> str:
     """Display form of a transfer table, heaviest monomial first."""
-    from .diffpoly import mono_rank
-
     parts = []
     for mono in sorted(table, key=mono_rank, reverse=True):
         gtxt = "*".join(

@@ -26,7 +26,7 @@ from .expr import (
     scalar_of,
     to_text,
 )
-from .diffpoly import DiffPolyError, ade_text, parse_ade
+from .diffpoly import DiffPolyError, ade_text, diff_mono_text, mono_rank, parse_ade
 from .chain_rewrite import derivative_transfer, support_text, table_text, transfer_support
 from .discovery import BoundExhausted, DiscoveryError, VerificationError, find_ade
 from .pipeline import check_permutable, compose_ade, iterate_ade, transfer_ade
@@ -167,8 +167,6 @@ def _cmd_iterate_ade(args, env) -> int:
 
 
 def _cmd_rewrite_chain(args, env) -> int:
-    from .diffpoly import diff_mono_text, mono_rank
-
     if args.ade:
         support = transfer_support(parse_ade(args.ade[0]))
         terms = {diff_mono_text(m): to_text(support[m]) for m in sorted(support, key=mono_rank)}

@@ -22,7 +22,7 @@ from .scalars import (
     _has_toplevel,
 )
 from .series import Domain, PowerSeries, frac_to_series
-from .expr import ParseError, _lex
+from .expr import ParseError, _lex, expand_series
 
 
 class DiffPolyError(ValueError):
@@ -335,10 +335,17 @@ def normalize(p: DiffPoly) -> DiffPoly:
     made +1."""
     if p.is_zero():
         return p
-    nums = dict(zip(p.terms, primitive_numerators(p.terms.values())))
-    lead_scalar = nums[max(nums, key=mono_rank)].leading()[1]
-    inv = Frac.of(lead_scalar.inverse())
-    return DiffPoly({m: Frac(q) * inv for m, q in nums.items()})
+    monos = list(p.terms)
+    lead = monos.index(max(monos, key=mono_rank))
+    return DiffPoly(dict(zip(monos, _primitive_unit_lead(p.terms.values(), lead))))
+
+
+def _primitive_unit_lead(coeffs, lead: int) -> list:
+    """Coefficients cleared to coprime polynomials, scaled so that the
+    leading scalar of the entry at position lead is +1."""
+    nums = primitive_numerators(coeffs)
+    inv = Frac.of(nums[lead].leading()[1].inverse())
+    return [Frac(q) * inv for q in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +397,6 @@ def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "
 
 
 def _residual(p: DiffPoly, subject, env, center, order: int, mode):
-    from .expr import expand_series
-
     n = p.order
     base = expand_series(subject, center, order + n, mode=mode, env=env)
     derivs = derivative_stack(base, n)

@@ -23,12 +23,12 @@ from .scalars import (
     clear_denominators,
     poly_exact_div,
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
-    primitive_numerators,
 )
 from .series import NUMERIC, PowerSeries
 from .diffpoly import (
     DiffMono,
     DiffPoly,
+    _primitive_unit_lead,
     holds_on,
     mono_of,
     mono_order,
@@ -258,7 +258,11 @@ def _relation(series, degree: int, center) -> RelationResult:
             _coefficient_frac(vec[k * (degree + 1) : (k + 1) * (degree + 1)], degree)
             for k in range(len(series))
         ]
-        coeffs = _normalize_certificate(coeffs)
+        nonzero = [k for k, c in enumerate(coeffs) if not c.is_zero()]
+        if nonzero:
+            # clear denominators and make the first nonzero entry's
+            # leading scalar +1
+            coeffs = _primitive_unit_lead(coeffs, nonzero[0])
         key = (
             sum(1 for c in coeffs if not c.is_zero()),
             sum(c.num.degree_in("z") for c in coeffs),
@@ -268,17 +272,6 @@ def _relation(series, degree: int, center) -> RelationResult:
             best = (key, coeffs)
     result.certificate = best[1]
     return result
-
-
-def _normalize_certificate(coeffs):
-    """Clear denominators, strip content, make the first nonzero
-    coefficient's leading scalar +1."""
-    if all(c.is_zero() for c in coeffs):
-        return coeffs
-    nums = primitive_numerators(coeffs)
-    lead = next(q for q in nums if not q.is_zero())
-    inv = Frac.of(lead.leading()[1].inverse())
-    return [Frac(q) * inv for q in nums]
 
 
 # ---------------------------------------------------------------------------

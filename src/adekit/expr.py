@@ -14,14 +14,22 @@ Names are resolved in one place: :func:`inline` is the only reader of a
 definition environment.  :func:`expand_series` and :func:`eval_numeric`
 inline once and then walk a closed tree, without named references or
 iterates.
+
+Every walker, :func:`adekit.growth.eval_log_polar` included, is one loop
+over the same post-order: the distinct subtrees of an expression, children
+first, each with the positions of its operands.  It is built once per
+expression object with an explicit stack, so depth costs no recursion, and
+a subtree that a derivative tree repeats is folded once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import (
     Frac,
@@ -59,6 +67,9 @@ class EvalError(ExprError):
 class Expression:
     def __str__(self):
         return to_text(self)
+
+    # the post-order every walker folds, built once per node object
+    _subtrees = cached_property(lambda self: _postorder(self))
 
 
 @dataclass(frozen=True)
@@ -234,6 +245,49 @@ def iterate(name: str, count: int) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# Post-order: the one traversal behind every walker
+
+# Operand fields are the expression-typed fields, except Compose.outer: a
+# function of z that a walker folds on its own, at the value of the inner,
+# and that keys a composition by its identity.
+_OPERANDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Expression" and f.name != "outer")
+    for cls in Expression.__subclasses__()
+}
+_SCALARS = {cls: tuple(f.name for f in fields(cls) if f.type != "Expression") for cls in _OPERANDS}
+
+
+def _postorder(root: Expression) -> tuple:
+    """The distinct subtrees of root, children first and root last, each as
+    (node, positions of its operands in the result).  Subtrees merge under
+    flat keys, (type, operand positions, scalar fields): hashing the nodes
+    would recurse through the dataclass ``__hash__``."""
+    entries = []
+    at = {}  # id(node) -> position of its subtree
+    position = {}  # flat key -> position
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in at:
+            continue
+        kind = type(node)
+        if kind not in _OPERANDS:
+            raise TypeError(f"not an expression node: {node!r}")
+        operands = [getattr(node, name) for name in _OPERANDS[kind]]
+        pending = [c for c in operands if id(c) not in at]
+        if pending:
+            # back to this node once its operands are placed, left first
+            stack += [node, *reversed(pending)]
+            continue
+        ops = tuple(at[id(c)] for c in operands)
+        scalars = (id(node.outer),) if kind is Compose else tuple(getattr(node, n) for n in _SCALARS[kind])
+        k = at[id(node)] = position.setdefault((kind, ops, scalars), len(entries))
+        if k == len(entries):
+            entries.append((node, ops))
+    return tuple(entries)
+
+
+# ---------------------------------------------------------------------------
 # Definition environment
 
 
@@ -273,9 +327,6 @@ class DefinitionEnvironment:
 
     def __contains__(self, name):
         return name in self._defs
-
-    def names(self):
-        return list(self._defs)
 
 
 EMPTY_ENV = DefinitionEnvironment()
@@ -454,13 +505,10 @@ def parse(text: str, env: DefinitionEnvironment | None = None) -> Expression:
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
 
 
+_LEVELS = {Add: _LEVEL_ADD, Sub: _LEVEL_ADD, Mul: _LEVEL_MUL, Div: _LEVEL_MUL, Pow: _LEVEL_POW}
+
+
 def _level(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Pow):
-        return _LEVEL_POW
     if isinstance(e, Lit):
         # mixed literals print as a sum; an imaginary one with a scale
         # prints as a product; both need parens inside tighter contexts
@@ -468,54 +516,50 @@ def _level(e: Expression) -> int:
             return _LEVEL_ADD
         if e.value.im and e.value.im not in (1, -1):
             return _LEVEL_MUL
-        return _LEVEL_ATOM
-    return _LEVEL_ATOM
+    return _LEVELS.get(type(e), _LEVEL_ATOM)
 
 
-def _wrap(e: Expression, need: int) -> str:
-    txt = to_text(e)
+def _wrap(e: Expression, txt: str, need: int) -> str:
     return f"({txt})" if _level(e) < need else txt
 
 
+_SMART = {Add: add, Sub: sub, Mul: mul, Div: div}
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_CALLS = {Exp: "exp", Sin: "sin", Cos: "cos"}
+
+
 def to_text(e: Expression) -> str:
-    if isinstance(e, Var):
-        return "z"
-    if isinstance(e, PiConst):
-        return "pi"
-    if isinstance(e, Lit):
-        return gauss_str(e.value)
-    if isinstance(e, Add):
-        rhs = _wrap(e.right, _LEVEL_MUL) if isinstance(e.right, (Add, Sub)) else to_text(e.right)
-        return f"{_wrap(e.left, _LEVEL_ADD)}+{rhs}"
-    if isinstance(e, Sub):
-        rhs = _wrap(e.right, _LEVEL_MUL) if isinstance(e.right, (Add, Sub)) else to_text(e.right)
-        return f"{_wrap(e.left, _LEVEL_ADD)}-{rhs}"
-    if isinstance(e, Mul):
-        rhs = _wrap(e.right, _LEVEL_POW) if _level(e.right) == _LEVEL_MUL else _wrap(e.right, _LEVEL_MUL)
-        return f"{_wrap(e.left, _LEVEL_MUL)}*{rhs}"
-    if isinstance(e, Div):
-        rhs = _wrap(e.right, _LEVEL_POW) if _level(e.right) == _LEVEL_MUL else _wrap(e.right, _LEVEL_MUL)
-        return f"{_wrap(e.left, _LEVEL_MUL)}/{rhs}"
-    if isinstance(e, Pow):
-        base = to_text(e.base)
-        if _level(e.base) < _LEVEL_ATOM or base.startswith("-"):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Exp):
-        return f"exp({to_text(e.arg)})"
-    if isinstance(e, Sin):
-        return f"sin({to_text(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_text(e.arg)})"
-    if isinstance(e, FuncRef):
-        return e.name + "'" * e.order
-    if isinstance(e, Compose):
-        if isinstance(e.outer, FuncRef):
-            return f"{to_text(e.outer)}({to_text(e.inner)})"
-        return f"({to_text(e.outer)} @ {to_text(e.inner)})"
-    if isinstance(e, Iterate):
-        return f"iter({e.name},{e.count})"
-    raise TypeError(f"not an expression node: {e!r}")
+    texts = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        if t is Var or t is PiConst:
+            txt = "z" if t is Var else "pi"
+        elif t is Lit:
+            txt = gauss_str(node.value)
+        elif t is Add or t is Sub:
+            # a sum on the right keeps its parentheses; a mixed literal does not
+            rhs = f"({texts[ops[1]]})" if isinstance(node.right, (Add, Sub)) else texts[ops[1]]
+            txt = f"{texts[ops[0]]}{_INFIX[t]}{rhs}"
+        elif t is Mul or t is Div:
+            # on the right, whatever binds looser than a power keeps its parentheses
+            lhs = _wrap(node.left, texts[ops[0]], _LEVEL_MUL)
+            txt = f"{lhs}{_INFIX[t]}{_wrap(node.right, texts[ops[1]], _LEVEL_POW)}"
+        elif t is Pow:
+            base = texts[ops[0]]
+            if _level(node.base) < _LEVEL_ATOM or base.startswith("-"):
+                base = f"({base})"
+            txt = f"{base}^{node.exponent}"
+        elif t in _CALLS:
+            txt = f"{_CALLS[t]}({texts[ops[0]]})"
+        elif t is FuncRef:
+            txt = node.name + "'" * node.order
+        elif t is Compose:
+            outer = to_text(node.outer)
+            txt = f"{outer}({texts[ops[0]]})" if isinstance(node.outer, FuncRef) else f"({outer} @ {texts[ops[0]]})"
+        else:
+            txt = f"iter({node.name},{node.count})"
+        texts.append(txt)
+    return texts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -524,35 +568,35 @@ def to_text(e: Expression) -> str:
 
 def differentiate(e: Expression) -> Expression:
     """Purely syntactic derivative; named references gain a prime."""
-    if isinstance(e, (Lit, PiConst)):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE
-    if isinstance(e, Add):
-        return add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Mul):
-        return add(mul(differentiate(e.left), e.right), mul(e.left, differentiate(e.right)))
-    if isinstance(e, Div):
-        num = sub(mul(differentiate(e.left), e.right), mul(e.left, differentiate(e.right)))
-        return div(num, pow_(e.right, 2))
-    if isinstance(e, Pow):
-        return mul(mul(lit(e.exponent), pow_(e.base, e.exponent - 1)), differentiate(e.base))
-    if isinstance(e, Exp):
-        return mul(e, differentiate(e.arg))
-    if isinstance(e, Sin):
-        return mul(Cos(e.arg), differentiate(e.arg))
-    if isinstance(e, Cos):
-        return mul(neg(Sin(e.arg)), differentiate(e.arg))
-    if isinstance(e, FuncRef):
-        return FuncRef(e.name, e.order + 1)
-    if isinstance(e, Compose):
-        return mul(Compose(differentiate(e.outer), e.inner), differentiate(e.inner))
-    if isinstance(e, Iterate):
-        inner = iterate(e.name, e.count - 1)
-        return mul(Compose(FuncRef(e.name, 1), inner), differentiate(inner))
-    raise TypeError(f"not an expression node: {e!r}")
+    ds = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        d1 = ds[ops[0]] if ops else None
+        if t is Var or t is Lit or t is PiConst:
+            d = ONE if t is Var else ZERO
+        elif t is Add or t is Sub:
+            d = _SMART[t](d1, ds[ops[1]])
+        elif t is Mul:
+            d = add(mul(d1, node.right), mul(node.left, ds[ops[1]]))
+        elif t is Div:
+            d = div(sub(mul(d1, node.right), mul(node.left, ds[ops[1]])), pow_(node.right, 2))
+        elif t is Pow:
+            d = mul(mul(lit(node.exponent), pow_(node.base, node.exponent - 1)), d1)
+        elif t is Exp:
+            d = mul(node, d1)
+        elif t is Sin or t is Cos:
+            d = mul(Cos(node.arg) if t is Sin else neg(Sin(node.arg)), d1)
+        elif t is FuncRef:
+            d = FuncRef(node.name, node.order + 1)
+        elif t is Compose:
+            d = mul(Compose(differentiate(node.outer), node.inner), d1)
+        else:
+            # the chain rule down the iterates: f'(f^(n-1)) * ... * f'(f) * f'
+            d = FuncRef(node.name, 1)
+            for k in range(1, node.count):
+                d = mul(Compose(FuncRef(node.name, 1), iterate(node.name, k)), d)
+        ds.append(d)
+    return ds[-1]
 
 
 def nth_derivative(e: Expression, n: int) -> Expression:
@@ -565,41 +609,34 @@ def nth_derivative(e: Expression, n: int) -> Expression:
 
 def inline(e: Expression, env: DefinitionEnvironment) -> Expression:
     """Resolve every named reference and iterate to a closed expression."""
-    if isinstance(e, (Var, Lit, PiConst)):
-        return e
-    if isinstance(e, Add):
-        return add(inline(e.left, env), inline(e.right, env))
-    if isinstance(e, Sub):
-        return sub(inline(e.left, env), inline(e.right, env))
-    if isinstance(e, Mul):
-        return mul(inline(e.left, env), inline(e.right, env))
-    if isinstance(e, Div):
-        return div(inline(e.left, env), inline(e.right, env))
-    if isinstance(e, Pow):
-        return pow_(inline(e.base, env), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(inline(e.arg, env))
-    if isinstance(e, Sin):
-        return Sin(inline(e.arg, env))
-    if isinstance(e, Cos):
-        return Cos(inline(e.arg, env))
-    if isinstance(e, FuncRef):
-        return nth_derivative(inline(env.lookup(e.name), env), e.order)
-    if isinstance(e, Compose):
-        return Compose(inline(e.outer, env), inline(e.inner, env))
-    if isinstance(e, Iterate):
-        body = inline(env.lookup(e.name), env)
-        out = body
-        for _ in range(e.count - 1):
-            out = Compose(body, out)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+    out = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        if t in _SMART:
+            v = _SMART[t](out[ops[0]], out[ops[1]])
+        elif t in _CALLS:
+            v = t(out[ops[0]])
+        elif t is Pow:
+            v = pow_(out[ops[0]], node.exponent)
+        elif t is FuncRef:
+            v = nth_derivative(inline(env.lookup(node.name), env), node.order)
+        elif t is Compose:
+            v = Compose(inline(node.outer, env), out[ops[0]])
+        elif t is Iterate:
+            v = body = inline(env.lookup(node.name), env)
+            for _ in range(node.count - 1):
+                v = Compose(body, v)
+        else:
+            v = node
+        out.append(v)
+    return out[-1]
 
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 
-_INF = complex(math.inf, 0.0)
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_CMATH = {Exp: cmath.exp, Sin: cmath.sin, Cos: cmath.cos}
 
 
 def eval_numeric(e: Expression, point: complex, env: DefinitionEnvironment | None = None) -> complex:
@@ -609,38 +646,33 @@ def eval_numeric(e: Expression, point: complex, env: DefinitionEnvironment | Non
     try:
         return _eval(closed, complex(point))
     except OverflowError:
-        return _INF
+        return complex(math.inf, 0.0)
 
 
 def _eval(e: Expression, pt: complex) -> complex:
-    if isinstance(e, Var):
-        return pt
-    if isinstance(e, Lit):
-        return e.value.to_complex()
-    if isinstance(e, PiConst):
-        return complex(math.pi)
-    if isinstance(e, Add):
-        return _eval(e.left, pt) + _eval(e.right, pt)
-    if isinstance(e, Sub):
-        return _eval(e.left, pt) - _eval(e.right, pt)
-    if isinstance(e, Mul):
-        return _eval(e.left, pt) * _eval(e.right, pt)
-    if isinstance(e, Div):
-        den = _eval(e.right, pt)
-        if den == 0:
+    vals = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        if t is Var:
+            v = pt
+        elif t is Lit:
+            v = node.value.to_complex()
+        elif t is PiConst:
+            v = complex(math.pi)
+        elif t is Div and vals[ops[1]] == 0:
             raise EvalError("division by zero during evaluation")
-        return _eval(e.left, pt) / den
-    if isinstance(e, Pow):
-        return _eval(e.base, pt) ** e.exponent
-    if isinstance(e, Exp):
-        return cmath.exp(_eval(e.arg, pt))
-    if isinstance(e, Sin):
-        return cmath.sin(_eval(e.arg, pt))
-    if isinstance(e, Cos):
-        return cmath.cos(_eval(e.arg, pt))
-    if isinstance(e, Compose):
-        return _eval(e.outer, _eval(e.inner, pt))
-    raise TypeError(f"not a closed expression node: {e!r}")
+        elif t in _ARITH:
+            v = _ARITH[t](vals[ops[0]], vals[ops[1]])
+        elif t is Pow:
+            v = vals[ops[0]] ** node.exponent
+        elif t in _CMATH:
+            v = _CMATH[t](vals[ops[0]])
+        elif t is Compose:
+            v = _eval(node.outer, vals[ops[0]])
+        else:
+            raise TypeError(f"not a closed expression node: {node!r}")
+        vals.append(v)
+    return vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -649,50 +681,41 @@ def _eval(e: Expression, pt: complex) -> complex:
 
 def scalar_of(e: Expression) -> Frac:
     """Exact value of a z-free expression as a scalar fraction."""
-    if isinstance(e, Var):
-        raise ExprError("expression depends on z where a constant is required")
-    if isinstance(e, Lit):
-        return Frac.of(e.value)
-    if isinstance(e, PiConst):
-        return Frac.var("pi")
-    if isinstance(e, Add):
-        return scalar_of(e.left) + scalar_of(e.right)
-    if isinstance(e, Sub):
-        return scalar_of(e.left) - scalar_of(e.right)
-    if isinstance(e, Mul):
-        return scalar_of(e.left) * scalar_of(e.right)
-    if isinstance(e, Div):
-        return scalar_of(e.left) / scalar_of(e.right)
-    if isinstance(e, Pow):
-        return scalar_of(e.base) ** e.exponent
-    if isinstance(e, Exp):
-        return exp_of_scalar(scalar_of(e.arg))
-    if isinstance(e, Sin):
-        return sin_of_scalar(scalar_of(e.arg))
-    if isinstance(e, Cos):
-        return cos_of_scalar(scalar_of(e.arg))
-    raise ExprError(f"{type(e).__name__} node is not a constant scalar")
+    return _frac_fold(e, constant=True)
 
 
 def frac_of_expression(e: Expression) -> Frac:
     """Read an exp/sin/cos-free expression as a rational function of z."""
-    if isinstance(e, Var):
-        return Frac.var("z")
-    if isinstance(e, Lit):
-        return Frac.of(e.value)
-    if isinstance(e, PiConst):
-        return Frac.var("pi")
-    if isinstance(e, Add):
-        return frac_of_expression(e.left) + frac_of_expression(e.right)
-    if isinstance(e, Sub):
-        return frac_of_expression(e.left) - frac_of_expression(e.right)
-    if isinstance(e, Mul):
-        return frac_of_expression(e.left) * frac_of_expression(e.right)
-    if isinstance(e, Div):
-        return frac_of_expression(e.left) / frac_of_expression(e.right)
-    if isinstance(e, Pow):
-        return frac_of_expression(e.base) ** e.exponent
-    raise ExprError(f"{type(e).__name__} node is not rational in z")
+    return _frac_fold(e, constant=False)
+
+
+_OF_SCALAR = {Exp: exp_of_scalar, Sin: sin_of_scalar, Cos: cos_of_scalar}
+
+
+def _frac_fold(e: Expression, constant: bool) -> Frac:
+    """e as a fraction: a z-free constant, with exp/sin/cos of scalars,
+    or else a rational function of z."""
+    vals = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        if t is Lit:
+            v = Frac.of(node.value)
+        elif t is PiConst:
+            v = Frac.var("pi")
+        elif t is Var and not constant:
+            v = Frac.var("z")
+        elif t in _ARITH:
+            v = _ARITH[t](vals[ops[0]], vals[ops[1]])
+        elif t is Pow:
+            v = vals[ops[0]] ** node.exponent
+        elif constant and t in _OF_SCALAR:
+            v = _OF_SCALAR[t](vals[ops[0]])
+        elif t is Var:
+            raise ExprError("expression depends on z where a constant is required")
+        else:
+            raise ExprError(f"{t.__name__} node is {'not a constant scalar' if constant else 'not rational in z'}")
+        vals.append(v)
+    return vals[-1]
 
 
 def expression_of_frac(f: Frac, z_expr: Expression = Z) -> Expression:
@@ -704,7 +727,8 @@ def expression_of_frac(f: Frac, z_expr: Expression = Z) -> Expression:
         for mono, coeff in sorted(p.terms.items()):
             term = Lit(coeff)
             for v, k in mono:
-                base = z_expr if v == "z" else (PiConst() if v == "pi" else _constant_ref(v))
+                # constant keys are canonical printed forms, so they reparse
+                base = z_expr if v == "z" else (PiConst() if v == "pi" else parse(v))
                 term = mul(term, pow_(base, k))
             total = add(total, term)
         return total
@@ -713,11 +737,6 @@ def expression_of_frac(f: Frac, z_expr: Expression = Z) -> Expression:
     if f.den.is_one():
         return num
     return div(num, poly_expr(f.den))
-
-
-def _constant_ref(key: str) -> Expression:
-    # constant keys are canonical printed forms, so they reparse
-    return parse(key)
 
 
 # ---------------------------------------------------------------------------
@@ -750,40 +769,34 @@ def expand_series(
 
 
 def _expand(e, center, order, dom) -> PowerSeries:
-    rec = lambda sub: _expand(sub, center, order, dom)
-    if isinstance(e, Var):
-        cs = [center] + ([dom.one] if order >= 1 else [])
-        cs += [dom.zero] * (order + 1 - len(cs))
-        return PowerSeries(dom, cs)
-    if isinstance(e, Lit):
-        return PowerSeries.constant(dom.literal(e.value), order, dom)
-    if isinstance(e, PiConst):
-        return PowerSeries.constant(dom.pi, order, dom)
-    if isinstance(e, Add):
-        return rec(e.left) + rec(e.right)
-    if isinstance(e, Sub):
-        return rec(e.left) - rec(e.right)
-    if isinstance(e, Mul):
-        return rec(e.left) * rec(e.right)
-    if isinstance(e, Div):
-        return rec(e.left) / rec(e.right)
-    if isinstance(e, Pow):
-        return rec(e.base) ** e.exponent
-    if isinstance(e, Exp):
-        u0, tail = _split_const(rec(e.arg))
-        scalar = dom.exp(u0)
-        return series_exp(tail).scale(scalar)
-    if isinstance(e, (Sin, Cos)):
-        u0, tail = _split_const(rec(e.arg))
-        s, c = series_sin_cos(tail)
-        s0, c0 = dom.sin(u0), dom.cos(u0)
-        if isinstance(e, Sin):
-            return s.scale(c0) + c.scale(s0)
-        return c.scale(c0) - s.scale(s0)
-    if isinstance(e, Compose):
-        u0, tail = _split_const(rec(e.inner))
-        return _expand(e.outer, u0, order, dom).compose(tail)
-    raise TypeError(f"not a closed expression node: {e!r}")
+    vals = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        if t is Var:
+            v = PowerSeries(dom, ([center, dom.one] + [dom.zero] * (order - 1))[: order + 1])
+        elif t is Lit:
+            v = PowerSeries.constant(dom.literal(node.value), order, dom)
+        elif t is PiConst:
+            v = PowerSeries.constant(dom.pi, order, dom)
+        elif t in _ARITH:
+            v = _ARITH[t](vals[ops[0]], vals[ops[1]])
+        elif t is Pow:
+            v = vals[ops[0]] ** node.exponent
+        elif t is Exp:
+            u0, tail = _split_const(vals[ops[0]])
+            v = series_exp(tail).scale(dom.exp(u0))
+        elif t is Sin or t is Cos:
+            u0, tail = _split_const(vals[ops[0]])
+            s, c = series_sin_cos(tail)
+            s0, c0 = dom.sin(u0), dom.cos(u0)
+            v = s.scale(c0) + c.scale(s0) if t is Sin else c.scale(c0) - s.scale(s0)
+        elif t is Compose:
+            u0, tail = _split_const(vals[ops[0]])
+            v = _expand(node.outer, u0, order, dom).compose(tail)
+        else:
+            raise TypeError(f"not a closed expression node: {node!r}")
+        vals.append(v)
+    return vals[-1]
 
 
 def _split_const(s: PowerSeries):

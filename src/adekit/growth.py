@@ -118,6 +118,9 @@ def _lp_div(a: LogPolar, b: LogPolar) -> LogPolar:
     return LogPolar(a.log_abs - b.log_abs, a.angle - b.angle)
 
 
+_LP_BINARY = {Add: _lp_add, Sub: lambda a, b: _lp_add(a, _lp_neg(b)), Mul: _lp_mul, Div: _lp_div}
+
+
 def _lp_pow(a: LogPolar, n: int) -> LogPolar:
     if n == 0:
         return LogPolar(0.0, 0.0)
@@ -154,42 +157,32 @@ def eval_log_polar(e: Expression, arg: LogPolar):
     """Evaluate with a log-polar argument; OVERFLOW propagates.  Closed
     expressions only: resolve named references with
     :func:`~adekit.expr.inline` first."""
-    if isinstance(e, Var):
-        return arg
-    if isinstance(e, Lit):
-        return LogPolar.from_complex(e.value.to_complex())
-    if isinstance(e, PiConst):
-        return LogPolar(math.log(math.pi), 0.0)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = eval_log_polar(e.left, arg)
-        b = eval_log_polar(e.right, arg)
-        if a is OVERFLOW or b is OVERFLOW:
-            return OVERFLOW
-        if isinstance(e, Add):
-            return _lp_add(a, b)
-        if isinstance(e, Sub):
-            return _lp_add(a, _lp_neg(b))
-        if isinstance(e, Mul):
-            return _lp_mul(a, b)
-        return _lp_div(a, b)
-    if isinstance(e, Pow):
-        a = eval_log_polar(e.base, arg)
-        return OVERFLOW if a is OVERFLOW else _lp_pow(a, e.exponent)
-    if isinstance(e, Exp):
-        a = eval_log_polar(e.arg, arg)
-        return OVERFLOW if a is OVERFLOW else _lp_exp(a)
-    if isinstance(e, Sin):
-        a = eval_log_polar(e.arg, arg)
-        return OVERFLOW if a is OVERFLOW else _lp_trig(a, cmath.sin)
-    if isinstance(e, Cos):
-        a = eval_log_polar(e.arg, arg)
-        return OVERFLOW if a is OVERFLOW else _lp_trig(a, cmath.cos)
-    if isinstance(e, Compose):
-        inner = eval_log_polar(e.inner, arg)
-        if inner is OVERFLOW:
-            return OVERFLOW
-        return eval_log_polar(e.outer, inner)
-    raise TypeError(f"not a closed expression node: {e!r}")
+    vals = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        a = vals[ops[0]] if ops else None
+        if t is Var:
+            v = arg
+        elif t is Lit:
+            v = LogPolar.from_complex(node.value.to_complex())
+        elif t is PiConst:
+            v = LogPolar(math.log(math.pi), 0.0)
+        elif a is OVERFLOW or (t in _LP_BINARY and vals[ops[1]] is OVERFLOW):
+            v = OVERFLOW
+        elif t in _LP_BINARY:
+            v = _LP_BINARY[t](a, vals[ops[1]])
+        elif t is Pow:
+            v = _lp_pow(a, node.exponent)
+        elif t is Exp:
+            v = _lp_exp(a)
+        elif t is Sin or t is Cos:
+            v = _lp_trig(a, cmath.sin if t is Sin else cmath.cos)
+        elif t is Compose:
+            v = eval_log_polar(node.outer, a)
+        else:
+            raise TypeError(f"not a closed expression node: {node!r}")
+        vals.append(v)
+    return vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +253,10 @@ def characteristic(f: Expression, env: DefinitionEnvironment, r: float, samples:
 
 def is_transcendental(f: Expression, env: DefinitionEnvironment) -> bool:
     """Whether the closed form still contains an elementary transcendental."""
-
-    def walk(e) -> bool:
-        if isinstance(e, (Exp, Sin, Cos)):
-            return True
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            return walk(e.left) or walk(e.right)
-        if isinstance(e, Pow):
-            return walk(e.base)
-        if isinstance(e, Compose):
-            return walk(e.outer) or walk(e.inner)
-        return False
-
-    return walk(inline(f, env))
+    return any(
+        type(node) in (Exp, Sin, Cos) or (type(node) is Compose and is_transcendental(node.outer, env))
+        for node, _ in inline(f, env)._subtrees
+    )
 
 
 def _require_transcendental(f: Expression, env: DefinitionEnvironment, role: str):

@@ -276,8 +276,9 @@ def test_series_of_a_huge_power_returns():
 
 
 def test_deeply_nested_subject_is_a_usage_error():
-    # the recursive parser and tree walkers run out of stack; that is the
-    # caller's input, so it exits 2, never 1 ("false") with a traceback
+    # the parser is the one recursive reader of expressions and runs out of
+    # stack; that is the caller's input, so it exits 2, never 1 ("false")
+    # with a traceback
     subject = "(" * 2000 + "z" + ")" * 2000
     proc = subprocess.run(
         [sys.executable, "-m", "adekit.cli", "series", "--subject", subject, "--order", "2"],
@@ -288,6 +289,36 @@ def test_deeply_nested_subject_is_a_usage_error():
     assert proc.returncode == 2
     assert proc.stderr == "error: expression nested too deeply\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_deep_iterate_expands():
+    # inlining iter(f,1200) nests 1200 compositions; the walkers fold it
+    # without recursion, and the z^2 coefficient of the n-th iterate of
+    # z+z^2 is n
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "series", "--subject", "iter(f,1200)", "--def", "f=z+z^2", "--order", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "order 2\ncenter 0\n0: 0\n1: 1\n2: 1200\n"
+
+
+def test_deep_iterate_differentiates():
+    # the chain rule unrolls down the iterates in a loop: 1199 factors
+    # f'(iter(f,k)) and a last f'
+    proc = subprocess.run(
+        [sys.executable, "-m", "adekit.cli", "diff", "--subject", "iter(f,1200)", "--def", "f=z+z^2", "--count", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.strip()
+    assert text.startswith("f'(iter(f,1199))*(f'(iter(f,1198))*")
+    assert text.endswith("*(f'(iter(f,2))*(f'(f)*f'" + ")" * 1198)
+    assert text.count("f'") == 1200
 
 
 def test_series_at_a_huge_power_center_returns():

@@ -42,6 +42,7 @@ from adekit.expr import (
     sub,
     to_text,
 )
+from adekit.expr import _OPERANDS, _postorder
 
 # ---------------------------------------------------------------------------
 # random expression generator (smart constructors keep trees in printed form)
@@ -223,12 +224,16 @@ def test_differentiate_polynomial():
 
 
 def test_differentiate_matches_series_derivative():
+    # plain random trees, and their derivative trees, whose subtrees are
+    # shared and repeated
     env = DefinitionEnvironment()
     env.define_text("f", "exp(z)-z")
     rng = random.Random(5150)
     done = 0
     while done < 30:
         e = rand_expr(rng, 3)
+        if done % 2:
+            e = nth_derivative(e, rng.randint(1, 2))
         try:
             s = expand_series(e, 0.3, 7, mode="numeric", env=env)
             ds = expand_series(differentiate(e), 0.3, 6, mode="numeric", env=env)
@@ -236,6 +241,44 @@ def test_differentiate_matches_series_derivative():
             continue
         assert ds.close_to(s.derivative()), to_text(e)
         done += 1
+
+
+def _tree_size(e):
+    size, stack = 0, [e]
+    while stack:
+        node = stack.pop()
+        size += 1
+        stack.extend(getattr(node, name) for name in _OPERANDS[type(node)])
+    return size
+
+
+@pytest.mark.parametrize(
+    "text, count, nodes, distinct",
+    [
+        ("sin(z+exp(z))", 4, 234, 33),
+        ("exp(exp(z))*sin(z)", 4, 540, 34),
+        ("exp(z)/(2+exp(z))", 5, 7147, 120),
+    ],
+)
+def test_postorder_lists_each_distinct_subtree_once(text, count, nodes, distinct):
+    d = nth_derivative(parse(text), count)
+    order = _postorder(d)
+    assert _tree_size(d) == nodes
+    assert len(order) == distinct
+    assert order[-1][0] is d
+    for k, (node, ops) in enumerate(order):
+        # operands come first, in field order, and each entry is its node
+        assert all(p < k for p in ops)
+        names = _OPERANDS[type(node)]
+        assert [order[p][0] for p in ops] == [getattr(node, name) for name in names]
+    assert len({to_text(node) for node, _ in order}) == distinct
+
+
+def test_postorder_rejects_foreign_nodes():
+    with pytest.raises(TypeError, match="not an expression node"):
+        _postorder(add(Z, 3))
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_text(Exp(None))
 
 
 def test_funcref_derivative_bumps_order():
@@ -431,3 +474,33 @@ def test_unknown_mode_is_rejected():
         expand_series(Z, 0, 3, mode="float")
     with pytest.raises(SeriesError):
         PowerSeries("float", [1])
+
+
+# ---------------------------------------------------------------------------
+# the walkers fold one post-order
+
+
+def test_walkers_reenter_only_outers_and_definitions():
+    # a walker may call itself on a composition's outer or on a definition
+    # body, never on an operand: operands come from the post-order
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "adekit"
+    walkers = {
+        "expr": {"to_text", "differentiate", "inline", "_eval", "_frac_fold", "_expand"},
+        "growth": {"eval_log_polar", "is_transcendental"},
+    }
+    allowed = {"node.outer", "env.lookup(node.name)"}
+    seen, bad = set(), []
+    for stem, names in walkers.items():
+        tree = ast.parse((src / f"{stem}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                seen.add(fn.name)
+                for call in ast.walk(fn):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == fn.name:
+                        if ast.unparse(call.args[0]) not in allowed:
+                            bad.append(f"{stem}.{fn.name}: {ast.unparse(call)}")
+    assert seen == set().union(*walkers.values())
+    assert not bad, bad
