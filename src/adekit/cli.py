@@ -23,6 +23,7 @@ from .expr import (
     expand_series,
     nth_derivative,
     parse,
+    parse_pair,
     scalar_of,
     to_text,
 )
@@ -52,19 +53,6 @@ def _build_env(defs) -> DefinitionEnvironment:
             raise ExprError(f"--def expects name=expression, got {item!r}")
         env.define_text(name.strip(), body.strip())
     return env
-
-
-def _split_pair(text: str):
-    """Split 'f,g' on the top-level comma; commas inside parentheses stay."""
-    depth = 0
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return text[:k].strip(), text[k + 1 :].strip()
-    raise ExprError("expected two comma-separated expressions")
 
 
 def _center_value(text: str, mode: str):
@@ -140,12 +128,10 @@ def _cmd_find_ade(args, env) -> int:
 def _cmd_compose_ade(args, env) -> int:
     if len(args.ade) != 2:
         raise DiffPolyError("compose-ade needs exactly two --ade equations")
-    f_text, g_text = _split_pair(args.subject)
     out = compose_ade(
         parse_ade(args.ade[0]),
         parse_ade(args.ade[1]),
-        parse(f_text, env),
-        parse(g_text, env),
+        *parse_pair(args.subject, env),
         env,
         center=_center_value(args.center, args.mode),
         mode=args.mode,
@@ -186,10 +172,8 @@ def _cmd_rewrite_chain(args, env) -> int:
 
 
 def _cmd_check_permutable(args, env) -> int:
-    f_text, g_text = _split_pair(args.subject)
     rep = check_permutable(
-        parse(f_text, env),
-        parse(g_text, env),
+        *parse_pair(args.subject, env),
         env,
         order=args.order,
         center=_center_value(args.center, args.mode),
@@ -212,11 +196,11 @@ def _cmd_check_permutable(args, env) -> int:
 
 
 def _cmd_transfer_ade(args, env) -> int:
-    f_text, g_text = _split_pair(args.subject)
+    f, g = parse_pair(args.subject, env)
     rep = transfer_ade(
-        parse(f_text, env),
+        f,
         parse_ade(args.ade[0]),
-        parse(g_text, env),
+        g,
         env,
         q=args.q,
         max_q=args.max_q,
@@ -271,10 +255,8 @@ def _cmd_growth(args, env) -> int:
             print(f"characteristic,{r!r},{value!r},{args.samples}")
         return EXIT_OK
     if action == "baker-scan":
-        f_text, g_text = _split_pair(args.subject)
         rep = baker_scan(
-            parse(f_text, env),
-            parse(g_text, env),
+            *parse_pair(args.subject, env),
             env,
             args.max_p,
             _radii_of(args),
@@ -307,10 +289,8 @@ def _cmd_growth(args, env) -> int:
             print(f"baker_result,{rep.p if rep.p is not None else 'none'}")
         return EXIT_OK if rep.p is not None else EXIT_NEGATIVE
     if action == "inequalities":
-        f_text, g_text = _split_pair(args.subject)
         rows = growth_suite(
-            parse(f_text, env),
-            parse(g_text, env),
+            *parse_pair(args.subject, env),
             env,
             args.radius,
             c=args.polya_c,

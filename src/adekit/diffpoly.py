@@ -12,6 +12,8 @@ function of z for another.
 
 from __future__ import annotations
 
+import operator
+
 from .scalars import (
     Frac,
     FRAC_ONE,
@@ -22,7 +24,7 @@ from .scalars import (
     _has_toplevel,
 )
 from .series import Domain, PowerSeries, frac_to_series
-from .expr import ParseError, _lex, expand_series
+from .expr import Grammar, ParseError, expand_series, parse_text
 
 
 class DiffPolyError(ValueError):
@@ -198,7 +200,7 @@ def _frac_is_negative(c: Frac) -> bool:
 
 def _coeff_factor_text(c: Frac) -> str:
     txt = frac_str(c)
-    if _has_toplevel(txt, "+-", start=1):
+    if _has_toplevel(txt, "+-"):
         return f"({txt})"
     return txt
 
@@ -236,93 +238,36 @@ def ade_text(p: DiffPoly) -> str:
 # Parsing
 
 
+def _divide(a: DiffPoly, b: DiffPoly) -> DiffPoly:
+    if set(b.terms) - {()}:
+        raise DiffPolyError("can only divide by a scalar coefficient")
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero")
+    return a.scale(FRAC_ONE / b.terms[()])
+
+
+def _name(parser, text: str, pos: int) -> DiffPoly:
+    if text == "z":
+        return DiffPoly.constant(Frac.var("z"))
+    if text == "pi":
+        return DiffPoly.constant(Frac.var("pi"))
+    if text == "i":
+        return DiffPoly.constant(Frac.of(GaussianRational(0, 1)))
+    if len(text) >= 2 and text[0] == "y" and text[1:].isdecimal():
+        return DiffPoly.variable(int(text[1:]))
+    raise ParseError(f"unknown name {text!r} in a differential polynomial", pos)
+
+
+_ADE_GRAMMAR = Grammar(
+    lambda x: DiffPoly.constant(Frac.of(GaussianRational.coerce(x))),
+    operator.neg, operator.add, operator.sub, operator.mul, _divide, operator.pow, _name,
+)
+
+
 def parse_ade(text: str) -> DiffPoly:
-    toks = _lex(text)
-    pos = 0
-
-    def peek():
-        return toks[pos]
-
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def expect(kind):
-        t = take()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}" if t[1] else f"expected {kind!r}", t[2])
-        return t
-
-    def parse_sum() -> DiffPoly:
-        if peek()[0] == "-":
-            take()
-            total = -parse_product()
-        else:
-            total = parse_product()
-        while peek()[0] in ("+", "-"):
-            op = take()[0]
-            rhs = parse_product()
-            total = total + rhs if op == "+" else total - rhs
-        return total
-
-    def parse_product() -> DiffPoly:
-        out = parse_factor()
-        while peek()[0] in ("*", "/"):
-            op, _, oppos = take()
-            rhs = parse_factor()
-            if op == "*":
-                out = out * rhs
-            else:
-                if set(rhs.terms) - {()}:
-                    raise ParseError("can only divide by a scalar coefficient", oppos)
-                if rhs.is_zero():
-                    raise ParseError("division by zero", oppos)
-                out = out.scale(FRAC_ONE / rhs.terms[()])
-        return out
-
-    def parse_factor() -> DiffPoly:
-        out = parse_base()
-        if peek()[0] == "^":
-            take()
-            t = expect("int")
-            out = out ** int(t[1])
-        return out
-
-    def parse_base() -> DiffPoly:
-        kind, text_, p0 = take()
-        if kind == "int":
-            if peek()[0] == "/" and toks[pos + 1][0] == "int":
-                take()
-                den = int(expect("int")[1])
-                if den == 0:
-                    raise ParseError("zero denominator in rational literal", p0)
-                return DiffPoly.constant(Frac.of(GaussianRational.coerce(int(text_))) / Frac.of(den))
-            return DiffPoly.constant(Frac.of(int(text_)))
-        if kind == "(":
-            inner = parse_sum()
-            expect(")")
-            return inner
-        if kind == "name":
-            if text_ == "z":
-                return DiffPoly.constant(Frac.var("z"))
-            if text_ == "pi":
-                return DiffPoly.constant(Frac.var("pi"))
-            if text_ == "i":
-                return DiffPoly.constant(Frac.of(GaussianRational(0, 1)))
-            if len(text_) >= 2 and text_[0] == "y" and text_[1:].isdigit():
-                return DiffPoly.variable(int(text_[1:]))
-            raise ParseError(f"unknown name {text_!r} in a differential polynomial", p0)
-        raise ParseError(
-            f"expected a term, found {text_!r}" if text_ else "unexpected end of input", p0
-        )
-
-    out = parse_sum()
-    t = peek()
-    if t[0] != "end":
-        raise ParseError(f"unexpected {t[1]!r}", t[2])
-    return out
+    """The differential polynomial of text: the expression grammar over the
+    names y0, y1, ... for f, f', ..., with z, pi and i in coefficients."""
+    return parse_text(text, _ADE_GRAMMAR)
 
 
 # ---------------------------------------------------------------------------

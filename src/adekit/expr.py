@@ -20,6 +20,10 @@ over the same post-order: the distinct subtrees of an expression, children
 first, each with the positions of its operands.  It is built once per
 expression object with an explicit stack, so depth costs no recursion, and
 a subtree that a derivative tree repeats is folded once.
+
+Text has one reader: :func:`parse`, :func:`parse_pair` and
+:func:`adekit.diffpoly.parse_ade` run the same recursive-descent parser,
+:func:`parse_text`, with their own constructors and names.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -154,6 +159,9 @@ class Iterate(Expression):
     count: int
 
 
+_CALLS = {Exp: "exp", Sin: "sin", Cos: "cos"}
+_CALL_TYPES = {name: cls for cls, name in _CALLS.items()}
+
 Z = Var()
 ZERO = Lit(GaussianRational(0))
 ONE = Lit(GR_ONE)
@@ -208,7 +216,7 @@ def mul(a: Expression, b: Expression) -> Expression:
 
 def div(a: Expression, b: Expression) -> Expression:
     if _is_zero(b):
-        raise ZeroDivisionError("division by a zero constant expression")
+        raise ZeroDivisionError("division by zero in a constant expression")
     if _is_zero(a):
         return ZERO
     if _is_one(b):
@@ -334,7 +342,8 @@ EMPTY_ENV.freeze()
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one recursive-descent reader of the grammar that expressions and
+# differential polynomials share; its caller says what to build
 
 _TOKEN_OPS = set("+-*/^(),")
 
@@ -352,9 +361,9 @@ def _lex(text: str):
             toks.append((ch, ch, k))
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[k:j], k))
             k = j
@@ -378,12 +387,16 @@ def _lex(text: str):
     return toks
 
 
+# What a parse builds: a constructor for each operation of the grammar and a
+# reader for name tokens; see parse_text.
+Grammar = namedtuple("Grammar", "number neg add sub mul div power name")
+
+
 class _Parser:
-    def __init__(self, text: str, env: DefinitionEnvironment):
-        self.text = text
+    def __init__(self, text: str, grammar: Grammar):
         self.toks = _lex(text)
         self.pos = 0
-        self.env = env
+        self.g = grammar
 
     def peek(self):
         return self.toks[self.pos]
@@ -399,50 +412,42 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {t[1]!r}" if t[1] else f"expected {kind!r}", t[2])
         return t
 
-    def parse(self) -> Expression:
-        e = self.expr()
+    def end(self):
         t = self.peek()
         if t[0] != "end":
             raise ParseError(f"unexpected {t[1]!r}", t[2])
-        return e
 
-    def expr(self) -> Expression:
+    def expr(self):
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = self.g.add(e, rhs) if op == "+" else self.g.sub(e, rhs)
         return e
 
-    def term(self) -> Expression:
+    def term(self):
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.take()
             rhs = self.factor()
             try:
-                e = mul(e, rhs) if op == "*" else div(e, rhs)
-            except ZeroDivisionError:
-                raise ParseError("division by zero in a constant expression", oppos) from None
+                e = self.g.mul(e, rhs) if op == "*" else self.g.div(e, rhs)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(str(exc), oppos) from None
         return e
 
-    def factor(self) -> Expression:
-        t = self.peek()
-        if t[0] == "-":
-            # negation: binds a whole factor, folding into literals
+    def factor(self):
+        if self.peek()[0] == "-":
+            # negation binds a whole factor
             self.take()
-            return neg(self.factor())
+            return self.g.neg(self.factor())
         e = self.base()
         if self.peek()[0] == "^":
             self.take()
-            n = self.nonneg_int()
-            e = pow_(e, n)
+            e = self.g.power(e, int(self.expect("int")[1]))
         return e
 
-    def nonneg_int(self) -> int:
-        t = self.expect("int")
-        return int(t[1])
-
-    def base(self) -> Expression:
+    def base(self):
         kind, text, pos = self.take()
         if kind == "int":
             # rational := integer ('/' positive-integer)?
@@ -451,52 +456,86 @@ class _Parser:
                 den = int(self.expect("int")[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", pos)
-                return lit(Fraction(int(text), den))
-            return lit(int(text))
+                return self.g.number(Fraction(int(text), den))
+            return self.g.number(int(text))
         if kind == "(":
             e = self.expr()
             self.expect(")")
             return e
         if kind == "name":
-            if text == "z":
-                return Z
-            if text == "i":
-                return Lit(GR_I)
-            if text == "pi":
-                return PiConst()
-            if text in ("exp", "sin", "cos"):
+            e = self.g.name(self, text, pos)
+            if callable(e):
+                # a call's argument is read here, not by the name reader, so
+                # nested calls cost no more stack than nested parentheses
                 self.expect("(")
-                arg = self.expr()
+                e = e(self.expr())
                 self.expect(")")
-                return {"exp": Exp, "sin": Sin, "cos": Cos}[text](arg)
-            if text == "iter":
-                self.expect("(")
-                nt = self.expect("name")
-                if nt[1] not in self.env:
-                    raise ParseError(f"unknown function {nt[1]!r}", nt[2])
-                self.expect(",")
-                ct = self.expect("int")
-                count = int(ct[1])
-                if count < 1:
-                    raise ParseError("iterate count must be positive", ct[2])
-                self.expect(")")
-                return iterate(nt[1], count)
-            if text in self.env:
-                order = 0
-                if self.peek()[0] == "prime":
-                    order = len(self.take()[1])
-                if self.peek()[0] == "(":
-                    self.take()
-                    arg = self.expr()
-                    self.expect(")")
-                    return Compose(FuncRef(text, order), arg)
-                return FuncRef(text, order)
-            raise ParseError(f"unknown identifier {text!r}", pos)
+            return e
         raise ParseError(f"expected an expression, found {text!r}" if text else "unexpected end of input", pos)
 
 
+def parse_text(text: str, grammar: Grammar):
+    """The value of text under the grammar that expressions and equations
+    share: sums, products, quotients, unary minus, powers to nonnegative
+    integer exponents, rational literals and parentheses.
+
+    ``grammar.number`` takes an int or a Fraction.  ``grammar.mul`` and
+    ``grammar.div`` reject their operands by raising ValueError or
+    ZeroDivisionError, reported at the operator.  ``grammar.name(parser,
+    text, offset)`` reads a name token and any tokens after it that belong
+    to the name; it returns a value, or a function that the parser applies
+    to the parenthesized expression that follows.
+    """
+    p = _Parser(text, grammar)
+    value = p.expr()
+    p.end()
+    return value
+
+
+def _expression_grammar(env: DefinitionEnvironment | None) -> Grammar:
+    env = env if env is not None else EMPTY_ENV
+
+    def name(parser, text, pos):
+        if text == "z":
+            return Z
+        if text == "i":
+            return Lit(GR_I)
+        if text == "pi":
+            return PiConst()
+        if text in _CALL_TYPES:
+            return _CALL_TYPES[text]
+        if text == "iter":
+            parser.expect("(")
+            nt = parser.expect("name")
+            if nt[1] not in env:
+                raise ParseError(f"unknown function {nt[1]!r}", nt[2])
+            parser.expect(",")
+            ct = parser.expect("int")
+            count = int(ct[1])
+            if count < 1:
+                raise ParseError("iterate count must be positive", ct[2])
+            parser.expect(")")
+            return iterate(nt[1], count)
+        if text in env:
+            ref = FuncRef(text, len(parser.take()[1]) if parser.peek()[0] == "prime" else 0)
+            return (lambda arg: Compose(ref, arg)) if parser.peek()[0] == "(" else ref
+        raise ParseError(f"unknown identifier {text!r}", pos)
+
+    return Grammar(lit, neg, add, sub, mul, div, pow_, name)
+
+
 def parse(text: str, env: DefinitionEnvironment | None = None) -> Expression:
-    return _Parser(text, env if env is not None else EMPTY_ENV).parse()
+    return parse_text(text, _expression_grammar(env))
+
+
+def parse_pair(text: str, env: DefinitionEnvironment | None = None) -> tuple:
+    """The two expressions of a pair ``f,g``."""
+    p = _Parser(text, _expression_grammar(env))
+    first = p.expr()
+    p.expect(",")
+    second = p.expr()
+    p.end()
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +564,6 @@ def _wrap(e: Expression, txt: str, need: int) -> str:
 
 _SMART = {Add: add, Sub: sub, Mul: mul, Div: div}
 _INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_CALLS = {Exp: "exp", Sin: "sin", Cos: "cos"}
 
 
 def to_text(e: Expression) -> str:

@@ -295,7 +295,6 @@ def baker_scan(
     max_p: int,
     radii,
     samples: int = 256,
-    tol: float = STRICT_TOL,
 ) -> BakerReport:
     """Smallest p with M(r, p-th iterate of f) strictly above M(r, g) on
     every radius given."""
@@ -319,12 +318,12 @@ def baker_scan(
                     f"both sides overflow at r={r}; reduce the radius to compare"
                 )
             margin = li - lg
-            strict = margin > tol
+            strict = margin > STRICT_TOL
             rows.append(BakerRow(p, r, li, lg, margin, strict))
             all_strict = all_strict and strict
         if all_strict:
-            return BakerReport(p, rows, tol)
-    return BakerReport(None, rows, tol)
+            return BakerReport(p, rows, STRICT_TOL)
+    return BakerReport(None, rows, STRICT_TOL)
 
 
 # ---------------------------------------------------------------------------

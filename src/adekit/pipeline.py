@@ -6,7 +6,8 @@ a composite by the weights, degrees and coefficient degrees of the input
 equations.  transfer_ade carries an equation across a permutable pair:
 rewrite along the partner, search the support for a polynomial relation,
 and escalate to a higher iterate of the source when the support admits
-none.
+none.  All three check first that each input equation holds for its
+function, since no search from a false one could succeed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .discovery import (
 )
 from .chain_rewrite import support_monomials, transfer_support
 from .expr import Compose, DefinitionEnvironment, Expression, expand_series
+
+
+def _require_holds(p: DiffPoly, f: Expression, env, center, mode, name: str):
+    """Reject an input equation that does not hold for its function: no
+    search built on it could succeed."""
+    if not holds_on(p, f, env, center, 12 + p.order, mode):
+        raise DiscoveryError(f"the input equation does not hold for {name}")
 
 
 @dataclass
@@ -65,13 +73,20 @@ def compose_ade(
     mode: str = "exact",
 ) -> SearchOutcome:
     """Equation for f(g) searched at the combined weight of the inputs,
-    with degree and coefficient-degree budgets added."""
+    with degree and coefficient-degree budgets added.  Each equation must
+    hold for its function."""
+    _require_holds(p, f, env, center, mode, "f")
+    _require_holds(q, g, env, center, mode, "g")
+    return _composite_search(p, q, f, g, env, center, mode)
+
+
+def _composite_search(p, q, f, g, env, center, mode) -> SearchOutcome:
+    """compose_ade's search, for equations known to hold."""
     if p.is_zero() or q.is_zero():
         raise DiscoveryError("composition needs two nonzero equations")
-    subject = Compose(f, g)
     w = p.weight + q.weight
     return find_ade(
-        subject,
+        Compose(f, g),
         env,
         center=center,
         min_weight=w,
@@ -94,6 +109,7 @@ def iterate_ade(
     one composition at a time."""
     if count < 1:
         raise DiscoveryError("iterate count must be positive")
+    _require_holds(p, f, env, center, mode, "f")
     if count == 1:
         return SearchOutcome(
             ade=normalize(p),
@@ -109,7 +125,7 @@ def iterate_ade(
     acc_ade = p
     outcome = None
     for _ in range(count - 1):
-        outcome = compose_ade(p, acc_ade, f, acc_expr, env, center, mode)
+        outcome = _composite_search(p, acc_ade, f, acc_expr, env, center, mode)
         acc_expr = Compose(f, acc_expr)
         acc_ade = outcome.ade
     return outcome
@@ -159,18 +175,22 @@ def transfer_ade(
         raise DiscoveryError("iterate bounds must satisfy 1 <= q <= max_q")
     if p.is_zero():
         raise DiscoveryError("cannot transfer the zero equation")
-    if not holds_on(p, f, env, center, 12 + p.order, mode):
-        raise DiscoveryError("the input equation does not hold for the source function")
+    if max_relation_degree is not None and max_relation_degree < 0:
+        raise DiscoveryError("the relation degree bound must be nonnegative")
+    _require_holds(p, f, env, center, mode, "the source function")
 
     escalations = []
     g_expansion = _Expansion(g, env, center, mode)
-    last_intermediate = None
-    last_support: list = []
-    for qq in range(q, max_q + 1):
-        intermediate = p if qq == 1 else iterate_ade(f, p, qq, env, center, mode).ade
+    # the iterate of f and its equation, each built from the last
+    composite, intermediate = f, p
+    for qq in range(1, max_q + 1):
+        if qq > 1:
+            intermediate = compose_ade(p, intermediate, f, composite, env, center, mode).ade
+            composite = Compose(f, composite)
+        if qq < q:
+            continue
         support_map = transfer_support(intermediate)
         support = support_monomials(support_map)
-        last_intermediate, last_support = intermediate, support
         cap = (
             max_relation_degree
             if max_relation_degree is not None
@@ -213,8 +233,8 @@ def transfer_ade(
     return TransferReport(
         status="exhausted",
         q=max_q,
-        intermediate_ade=last_intermediate,
-        support=last_support,
+        intermediate_ade=intermediate,
+        support=support,
         output_ade=None,
         verified_order=0,
         escalations=escalations,

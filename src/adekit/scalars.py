@@ -219,19 +219,11 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic: higher total degree wins, ties broken by the
-    earliest variable with differing exponent (larger exponent wins)."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia = dict(a)
-    ib = dict(b)
-    for v in sorted(set(ia) | set(ib), key=_rank):
-        ea, eb = ia.get(v, 0), ib.get(v, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
+def _mono_key(m: Mono):
+    """Graded lexicographic order, leading monomial first: higher total
+    degree first, ties broken by the earliest variable with differing
+    exponent (larger exponent first)."""
+    return (-mono_degree(m), [(_rank(v), -e) for v, e in m])
 
 
 def mono_str(m: Mono) -> str:
@@ -363,10 +355,7 @@ class Poly:
         """(monomial, coefficient) maximal in graded-lex order."""
         if self.is_zero():
             raise ScalarError("zero polynomial has no leading term")
-        best = None
-        for m in self.terms:
-            if best is None or _mono_cmp(m, best) > 0:
-                best = m
+        best = min(self.terms, key=_mono_key)
         return best, self.terms[best]
 
     def evaluate(self, value_of: Callable[[str], complex]) -> complex:
@@ -386,9 +375,7 @@ class Poly:
 
 
 def _sorted_terms(p: Poly):
-    import functools
-
-    return sorted(p.terms.items(), key=functools.cmp_to_key(lambda a, b: _mono_cmp(a[0], b[0])), reverse=True)
+    return sorted(p.terms.items(), key=lambda t: _mono_key(t[0]))
 
 
 def poly_str(p: Poly) -> str:
@@ -718,14 +705,16 @@ def primitive_numerators(fracs) -> list:
     return [poly_exact_div(q, content) for q in nums]
 
 
-def _has_toplevel(txt: str, ops: str, start: int = 0) -> bool:
+def _has_toplevel(txt: str, ops: str) -> bool:
+    """Whether an operator of ops occurs outside parentheses after the
+    first character, which may be a sign."""
     depth = 0
     for k, ch in enumerate(txt):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif depth == 0 and k >= start and ch in ops:
+        elif depth == 0 and k > 0 and ch in ops:
             return True
     return False
 
@@ -737,10 +726,10 @@ def frac_str(f: Frac) -> str:
     d = poly_str(f.den)
     # numerator: sums must bind before the division; single-term products
     # are safe under left association
-    if _has_toplevel(n, "+-", start=1):
+    if _has_toplevel(n, "+-"):
         n = f"({n})"
     # denominator: anything beyond a single power must be grouped
-    if _has_toplevel(d, "+-*/", start=1) or d.startswith("-"):
+    if _has_toplevel(d, "+-*/") or d.startswith("-"):
         d = f"({d})"
     return f"{n}/{d}"
 

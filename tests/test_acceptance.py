@@ -271,7 +271,6 @@ def test_07_iterate_domination_scan():
         5,
         [2.0, 3.0, 4.0],
         samples=256,
-        tol=1e-9,
     )
     rows2 = [row for row in report.rows if row.p == 2]
     rows3 = [row for row in report.rows if row.p == 3]

@@ -226,6 +226,16 @@ def test_usage_errors_exit_2(capsys):
         ("series", "--subject", "1/z"),
         ("compose-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0"),
         ("growth", "characteristic", "--subject", "exp(z)", "--samples", "100"),
+        # inputs no search could succeed on, rejected before searching: a
+        # relation search with no degree to try, and equations that do not
+        # hold for their functions
+        ("transfer-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0",
+         "--max-relation-degree", "-1", "--max-q", "1"),
+        ("iterate-ade", "--subject", "sin(z)", "--ade", "y1 - 2*y0", "--count", "1"),
+        ("iterate-ade", "--subject", "z+exp(z)", "--ade", "y1 - 2*y0", "--count", "2",
+         "--def", "f=z+exp(z)"),
+        ("compose-ade", "--subject", "exp(z),sin(z)", "--ade", "y1 - y0", "--ade", "y1 - y0"),
+        ("compose-ade", "--subject", "exp(z),sin(z)", "--ade", "y1 + y0", "--ade", "y2 + y0"),
     ]
     for argv in cases:
         rc = main(list(argv))
@@ -233,6 +243,13 @@ def test_usage_errors_exit_2(capsys):
         assert rc == 2, argv
         assert captured.out == ""
         assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1, argv
+
+
+def test_pair_errors_report_offsets_in_the_whole_subject(capsys):
+    rc, _, err = run(capsys, "check-permutable", "--subject", "exp(z), sin(z)+*")
+    assert rc == 2
+    assert err == "error: expected an expression, found '*' at offset 15\n"
 
 
 def test_argparse_rejects_unknown_command():

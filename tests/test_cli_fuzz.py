@@ -68,15 +68,20 @@ def _pair(rng):
 
 
 # compose-ade and iterate-ade search at the combined weight of their
-# equations with no budget option, and an equation that does not hold makes
-# them exhaust it; they get true equations, or ones that fail to parse
+# equations with no budget option; an equation that does not hold is
+# rejected before the search, so they get true, false and unparsable ones
 KNOWN = {"sin(z)": "y2 + y0", "exp(z)": "y1 - y0", "2*z": "z*y1 - y0", "z^2": "z*y1 - 2*y0", "z+1": "y1 - 1"}
 KNOWN_PAIRS = [("sin(z)", "2*z"), ("exp(z)", "2*z"), ("exp(z)", "z^2"), ("2*z", "z+1"), ("z^2", "2*z")]
 KNOWN_ITERATES = ["2*z", "z^2", "z+1"]
+# equations that hold for none of the subjects of KNOWN
+FALSE_ADES = ["y1 - 2*y0", "y1^2 + y0", "z*y1 - 2*y0 + 1"]
 
 
 def _known_ade(rng, subject):
-    return KNOWN[subject] if rng.random() < 0.85 else rng.choice(BROKEN_ADES)
+    roll = rng.random()
+    if roll < 0.5:
+        return KNOWN[subject]
+    return rng.choice(FALSE_ADES if roll < 0.85 else BROKEN_ADES)
 
 
 def _ade(rng):

@@ -155,9 +155,31 @@ def test_parse_ade_roundtrip_seeded():
 def test_parse_ade_rejects_garbage():
     from adekit.expr import ParseError
 
-    for bad in ("", "y", "y1 +", "q3", "y1 ** 2", "(z"):
+    # "²" is a digit to str.isdigit but not a number to int()
+    for bad in ("", "y", "y1 +", "q3", "y1 ** 2", "(z", "y²"):
         with pytest.raises(ParseError):
             parse_ade(bad)
+
+
+def test_parse_ade_reads_unary_minus_like_expressions():
+    # a minus binds one factor, after an operator as well as in front
+    assert parse_ade("y1*-y0") == parse_ade("-y1*y0")
+    assert list(parse_ade("y2 - -y0").terms) == list(parse_ade("y2 + y0").terms)
+    assert parse_ade("-y1^2") == -(parse_ade("y1") ** 2)
+
+
+def test_parse_ade_divides_by_scalars_only():
+    from adekit.expr import ParseError
+
+    assert parse_ade("y1/(2*i)") == parse_ade("-1/2*i*y1")
+    for text, message in [
+        ("y1/y0", "can only divide by a scalar coefficient"),
+        ("y1/(y0-y0)", "division by zero"),
+        ("y1/(z-z)", "division by zero"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_ade(text)
+        assert str(info.value) == f"{message} at offset 2"
 
 
 def test_display_order_heaviest_first():

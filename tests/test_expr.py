@@ -194,6 +194,44 @@ def test_unbalanced_parens():
         parse("(z+1")
 
 
+def test_deep_nesting_parses():
+    # the parser is recursive: 200 levels of parentheses or of calls stay
+    # within the default recursion limit, under pytest's own frames too
+    assert parse("(" * 200 + "z" + ")" * 200) == Z
+    e = parse("exp(" * 200 + "z" + ")" * 200)
+    for _ in range(200):
+        assert isinstance(e, Exp)
+        e = e.arg
+    assert e == Z
+
+
+def test_only_decimal_digits_are_numbers():
+    # "²" is a digit to str.isdigit but not a number to int()
+    with pytest.raises(ParseError) as info:
+        parse("z+²")
+    assert info.value.position == 2
+    assert parse("١٢") == lit(12)
+
+
+def test_parse_pair_reads_two_expressions():
+    from adekit.expr import parse_pair
+
+    f, g = parse_pair("iter(g,2), g'(exp(z))", NAME_ENV)
+    assert f == Iterate("g", 2)
+    assert g == Compose(FuncRef("g", 1), Exp(Z))
+    # offsets count from the start of the pair
+    for text, position, message in [
+        ("z", 1, "expected ','"),
+        ("z, z+*", 5, "expected an expression, found '*'"),
+        ("z,z,z", 3, "unexpected ','"),
+        ("(z,z)", 2, "expected ')', found ','"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_pair(text)
+        assert info.value.position == position
+        assert str(info.value) == f"{message} at offset {position}"
+
+
 def test_reserved_names_rejected_in_env():
     env = DefinitionEnvironment()
     for name in ("z", "i", "pi", "exp", "sin", "cos", "iter"):

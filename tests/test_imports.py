@@ -104,3 +104,20 @@ def test_searches_take_no_tolerance():
                     if arg.arg in knobs:
                         found.append(f"{stem}.{node.name}({arg.arg})")
     assert not found, "tolerance parameters: " + ", ".join(found)
+
+
+def test_only_expr_reads_tokens():
+    # one parser reads all text; the lexer's tokens stay inside expr
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "expr":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Name) and node.id == "_lex") or (
+                isinstance(node, ast.Attribute) and node.attr == "_lex"
+            )
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "_lex" for a in node.names)
+            if named or imported:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert not readers, "tokens read outside expr: " + ", ".join(readers)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from adekit import pipeline
 from adekit.scalars import Frac
 from adekit.expr import DefinitionEnvironment, EMPTY_ENV, parse
 from adekit.diffpoly import ade_text, holds_on, parse_ade
-from adekit.discovery import DiscoveryError
+from adekit.discovery import DiscoveryError, SearchOutcome
 from adekit.pipeline import (
     check_permutable,
     compose_ade,
@@ -112,6 +113,23 @@ def test_iterate_ade_rejects_nonpositive_count():
         iterate_ade(parse("exp(z)"), parse_ade("y1 - y0"), 0, EMPTY_ENV)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_iterate_ade_rejects_an_equation_that_does_not_hold(count):
+    # before the check, count 1 returned the false equation and higher
+    # counts searched their whole budget
+    with pytest.raises(DiscoveryError, match="does not hold for f"):
+        iterate_ade(parse("sin(z)"), parse_ade("y1 - 2*y0"), count, EMPTY_ENV)
+
+
+def test_compose_ade_rejects_an_equation_that_does_not_hold():
+    true, false = parse_ade("y1 - y0"), parse_ade("y1 + y0")
+    exp_z = parse("exp(z)")
+    with pytest.raises(DiscoveryError, match="does not hold for f"):
+        compose_ade(false, true, exp_z, exp_z, EMPTY_ENV)
+    with pytest.raises(DiscoveryError, match="does not hold for g"):
+        compose_ade(true, false, exp_z, exp_z, EMPTY_ENV)
+
+
 @pytest.mark.slow
 def test_iterate_ade_square_of_translated_exponential():
     # frozen regression: the equation of f(f) for f = z + e^z
@@ -175,6 +193,44 @@ def test_transfer_exhausted_reports_attempts():
     assert rep.status == "exhausted"
     assert rep.output_ade is None
     assert len(rep.escalations) == 3
+
+
+def test_transfer_rejects_a_negative_relation_degree():
+    # range(cap + 1) would try no degree and report "exhausted"
+    with pytest.raises(DiscoveryError, match="nonnegative"):
+        transfer_ade(
+            parse("exp(z)"), parse_ade("y1 - y0"), parse("exp(z)"), EMPTY_ENV,
+            max_q=1, max_relation_degree=-1,
+        )
+
+
+def test_transfer_builds_each_iterate_from_the_last(monkeypatch):
+    # one composition per new iterate count: the equation of the q-th
+    # iterate of f comes from that of the (q-1)-th, not from scratch
+    p = parse_ade("y1 - y0")
+    calls = []
+
+    def counting_compose(a, b, f, g, env, center=0, mode="exact"):
+        calls.append((ade_text(a), ade_text(b), str(f), str(g)))
+        return SearchOutcome(
+            ade=p, found_at=(1, 1, 0), num_unknowns=0, num_equations=0,
+            solve_order=0, verify_order=0, kernel_dimension=0, escalations=[],
+        )
+
+    monkeypatch.setattr(pipeline, "compose_ade", counting_compose)
+    rep = transfer_ade(parse("exp(z)"), p, parse("sin(z)"), EMPTY_ENV, max_q=3)
+    assert calls == [
+        ("y1 - y0", "y1 - y0", "exp(z)", "exp(z)"),
+        ("y1 - y0", "y1 - y0", "exp(z)", "(exp(z) @ exp(z))"),
+    ]
+    assert rep.status == "exhausted" and rep.q == 3 and rep.output_ade is None
+    assert ade_text(rep.intermediate_ade) == "y1 - y0"
+    assert rep.support_text() == ["y0", "y1"]
+    assert rep.escalations == [
+        {"q": q, "relation_degree": d, "rank": 2 * d + 2, "unknowns": 2 * d + 2}
+        for q in (1, 2, 3)
+        for d in (0, 1, 2)
+    ]
 
 
 def test_transfer_wall_time_field_is_stable():

@@ -90,6 +90,37 @@ def test_poly_graded_lex_leading():
     assert m == (("z", 2),)
 
 
+def _graded_lex_cmp(a, b):
+    """Reference order: higher total degree leads, ties broken by the
+    earliest variable (z, then the others alphabetically) whose exponents
+    differ, the larger exponent leading."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ea, eb = dict(a), dict(b)
+    for v in sorted(set(ea) | set(eb), key=lambda v: (v != "z", v)):
+        if ea.get(v, 0) != eb.get(v, 0):
+            return 1 if ea.get(v, 0) > eb.get(v, 0) else -1
+    return 0
+
+
+def test_mono_key_matches_the_graded_lex_comparator():
+    from adekit.scalars import _mono_key
+
+    rng = random.Random(4242)
+    names = ["z", "pi", "e", "sin3"]
+
+    def mono():
+        exps = [(v, rng.randint(0, 3)) for v in names if rng.random() < 0.6]
+        return tuple(sorted(((v, e) for v, e in exps if e), key=lambda t: (t[0] != "z", t[0])))
+
+    for _ in range(20000):
+        a, b = mono(), mono()
+        want = _graded_lex_cmp(a, b)
+        got = (_mono_key(a) < _mono_key(b)) - (_mono_key(a) > _mono_key(b))
+        assert got == want, (a, b)
+
+
 def test_poly_exact_div_roundtrip():
     rng = random.Random(99)
     for _ in range(30):
