@@ -19,7 +19,7 @@ from .diffpoly import (
     DiffMono,
     DiffPoly,
     DiffPolyError,
-    derivative_stack,
+    Jet,
     diff_mono_text,
     mono_of,
     mono_order,
@@ -155,19 +155,13 @@ def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: 
         return expand_series(ZERO, center, order, mode=mode, env=bound), []
     # G_j = g^(j) at f(z): the derivative stack of g around f(center),
     # each composed with the rest of f
-    depth = max(mono_order(m) for m in support)
+    monos = list(support)
+    depth = max(map(mono_order, monos))
     f0, f_tail = _split_const(expand_series(FuncRef("f"), center, order, mode=mode, env=bound))
-    g_at_f0 = expand_series(FuncRef("g"), f0, order + depth, mode=mode, env=bound)
-    gs = [s.compose(f_tail) for s in derivative_stack(g_at_f0, depth)]
-    total, terms = None, []
-    for mono, coeff in support.items():
-        s = expand_series(coeff, center, order, mode=mode, env=bound)
-        for j, e in enumerate(mono):
-            if e:
-                s = s * gs[j] ** e
-        terms.append(s)
-        total = s if total is None else total + s
-    return total, terms
+    gs = [s.compose(f_tail) for s in Jet.expanding(FuncRef("g"), bound, f0, mode).stack(depth, order)]
+    coeffs = (expand_series(support[m], center, order, mode=mode, env=bound) for m in monos)
+    terms = Jet(gs).terms(monos, coeffs, order)
+    return sum(terms[1:], terms[0]), terms
 
 
 def verify_transfer(

@@ -64,16 +64,7 @@ def _print_json(payload: dict):
 
 
 def _outcome_payload(out) -> dict:
-    return {
-        "ade": ade_text(out.ade),
-        "found_at": list(out.found_at),
-        "num_unknowns": out.num_unknowns,
-        "num_equations": out.num_equations,
-        "solve_order": out.solve_order,
-        "verify_order": out.verify_order,
-        "kernel_dimension": out.kernel_dimension,
-        "escalations": out.escalations,
-    }
+    return {**vars(out), "ade": ade_text(out.ade)}
 
 
 def _emit_outcome(out, fmt: str) -> int:
@@ -180,14 +171,7 @@ def _cmd_check_permutable(args, env) -> int:
         mode=args.mode,
     )
     if args.format == "json":
-        _print_json(
-            {
-                "equal": rep.equal,
-                "order": rep.order,
-                "first_mismatch": rep.first_mismatch,
-                "mode": rep.mode,
-            }
-        )
+        _print_json(vars(rep))
     elif rep.equal:
         print(f"permutable through order {rep.order}")
     else:
@@ -244,15 +228,12 @@ def _radii_of(args):
 
 def _cmd_growth(args, env) -> int:
     action = args.growth_command
-    if action == "max-modulus":
+    if action in ("max-modulus", "characteristic"):
+        measure = max_modulus if action == "max-modulus" else characteristic
+        label = action.replace("-", "_")
         for r in _radii_of(args):
-            value = max_modulus(parse(args.subject, env), env, r, args.samples)
-            print(f"max_modulus,{r!r},{value!r},{args.samples}")
-        return EXIT_OK
-    if action == "characteristic":
-        for r in _radii_of(args):
-            value = characteristic(parse(args.subject, env), env, r, args.samples)
-            print(f"characteristic,{r!r},{value!r},{args.samples}")
+            value = measure(parse(args.subject, env), env, r, args.samples)
+            print(f"{label},{r!r},{value!r},{args.samples}")
         return EXIT_OK
     if action == "baker-scan":
         rep = baker_scan(
@@ -263,23 +244,7 @@ def _cmd_growth(args, env) -> int:
             samples=args.samples,
         )
         if args.format == "json":
-            _print_json(
-                {
-                    "p": rep.p,
-                    "tol": rep.tol,
-                    "rows": [
-                        {
-                            "p": row.p,
-                            "r": row.r,
-                            "log_iterate": row.log_iterate,
-                            "log_partner": row.log_partner,
-                            "margin": row.margin,
-                            "strict": row.strict,
-                        }
-                        for row in rep.rows
-                    ],
-                }
-            )
+            _print_json({"p": rep.p, "tol": rep.tol, "rows": [vars(row) for row in rep.rows]})
         else:
             for row in rep.rows:
                 print(
@@ -297,21 +262,7 @@ def _cmd_growth(args, env) -> int:
             samples=args.samples,
         )
         if args.format == "json":
-            _print_json(
-                {
-                    "rows": [
-                        {
-                            "name": row.name,
-                            "r": row.r,
-                            "lhs": row.lhs,
-                            "rhs": row.rhs,
-                            "holds": row.holds,
-                            "note": row.note,
-                        }
-                        for row in rows
-                    ]
-                }
-            )
+            _print_json({"rows": [vars(row) for row in rows]})
         else:
             for row in rows:
                 print(

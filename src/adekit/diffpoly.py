@@ -23,7 +23,7 @@ from .scalars import (
     primitive_numerators,
     _has_toplevel,
 )
-from .series import Domain, PowerSeries, frac_to_series
+from .series import PowerSeries, frac_to_series
 from .expr import Grammar, ParseError, expand_series, parse_text
 
 
@@ -294,46 +294,77 @@ def _primitive_unit_lead(coeffs, lead: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Application to a concrete function
+# Evaluation on series
 
 
-def derivative_stack(subject_series: PowerSeries, depth: int):
-    """Series of the 0th..depth-th derivatives, all truncated to a common
-    order; the input must carry depth extra coefficients."""
-    if subject_series.order < depth:
-        raise DiffPolyError("subject series is too short for the requested derivatives")
-    target = subject_series.order - depth
-    out = [subject_series]
-    for _ in range(depth):
-        out.append(out[-1].derivative())
-    return [s.truncate(target) for s in out]
+class Jet:
+    """The series y0, y1, ... of a function and its derivatives around one
+    center, with every power and differential monomial of them, each built
+    once.
 
+    ``Jet(ys)`` holds a given stack and cannot grow.  ``Jet.expanding``
+    owns one subject's expansion: it re-expands only when a caller needs
+    more coefficients than it holds, to exactly that need, dropping the
+    monomials, and takes derivatives on demand.  Callers read truncations:
+    a product truncates, so they are the series an expansion at the
+    caller's own order would give."""
 
-def apply_to_series(p: DiffPoly, derivs, center, mode: str) -> PowerSeries:
-    """Evaluate the differential polynomial on a stack of derivative series
-    around the given center."""
-    return _apply(p, derivs, center, mode)[0]
+    def __init__(self, ys, expand=None):
+        self._ys, self._expand, self._monos = list(ys), expand, {}
 
+    @classmethod
+    def expanding(cls, subject, env, center, mode) -> "Jet":
+        return cls([], lambda order: expand_series(subject, center, order, mode=mode, env=env))
 
-def _apply(p: DiffPoly, derivs, center, mode):
-    """(P evaluated on the stack, the series of its terms, in summing order)."""
-    if not derivs:
-        raise DiffPolyError("empty derivative stack")
-    order = min(s.order for s in derivs)
-    if derivs[0].domain is not Domain.of(mode):
-        raise DiffPolyError("derivative stack mode does not match")
-    total = PowerSeries.zero(order, mode)
-    terms = []
-    for m, c in p.terms.items():
-        if mono_order(m) >= len(derivs) and m:
-            raise DiffPolyError("derivative stack is too shallow for this polynomial")
-        term = frac_to_series(c, center, order, mode)
-        for k, e in enumerate(m):
-            if e:
-                term = term * derivs[k] ** e
-        terms.append(term)
-        total = total + term
-    return total, terms
+    def stack(self, depth: int, order: int):
+        """The series of y0..y_depth through the given order."""
+        ys = self._ys
+        if self._expand is not None:
+            if not ys or ys[0].order < order + depth:
+                self._ys = ys = [self._expand(order + depth)]
+                self._monos = {}
+            while len(ys) <= depth:
+                ys.append(ys[-1].derivative())
+        if depth >= len(ys) or min(y.order for y in ys[: depth + 1]) < order:
+            raise DiffPolyError("derivative stack is too short for this request")
+        return [y.truncate(order) for y in ys[: depth + 1]]
+
+    def monomials(self, monos, order: int):
+        """The series of each differential monomial through the given order,
+        on the stack grown as far as they need."""
+        self.stack(max(map(mono_order, monos)), order)
+        return [self._monomial(m).truncate(order) for m in monos]
+
+    def _monomial(self, m: DiffMono) -> PowerSeries:
+        # the monomial without its highest derivative, times that
+        # derivative's power: the association of the product of powers
+        # taken left to right, so numeric monomials keep their bits
+        if m not in self._monos:
+            k = len(m) - 1
+            if not m:
+                y0 = self._ys[0]
+                self._monos[m] = PowerSeries.constant(y0.domain.one, y0.order, y0.domain)
+            elif any(m[:k]):
+                self._monos[m] = self._monomial(mono_of(m[:k])) * self._monomial((0,) * k + (m[k],))
+            else:
+                self._monos[m] = self._ys[k] ** m[k]
+        return self._monos[m]
+
+    def terms(self, monos, coeffs, order: int):
+        """The series c * y0^e0 * y1^e1 * ... of each monomial and its
+        coefficient series c through the given order: the coefficient
+        first, then each power in turn, taken once from the stack
+        truncated to that order.  The coefficients are read after the
+        stack is built."""
+        monos = list(monos)
+        powers = Jet(self.stack(max(map(mono_order, monos), default=0), order))
+        out = []
+        for m, s in zip(monos, coeffs):
+            for k, e in enumerate(m):
+                if e:
+                    s = s * powers._monomial((0,) * k + (e,))
+            out.append(s)
+        return out
 
 
 def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> PowerSeries:
@@ -342,10 +373,11 @@ def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "
 
 
 def _residual(p: DiffPoly, subject, env, center, order: int, mode):
-    n = p.order
-    base = expand_series(subject, center, order + n, mode=mode, env=env)
-    derivs = derivative_stack(base, n)
-    return _apply(p, derivs, center, base.domain)
+    """(P[subject] through order, the series of its terms in summing order),
+    on an expansion of the subject of its own."""
+    coeffs = (frac_to_series(c, center, order, mode) for c in p.terms.values())
+    terms = Jet.expanding(subject, env, center, mode).terms(p.terms, coeffs, order)
+    return sum(terms, PowerSeries.zero(order, mode)), terms
 
 
 def holds_on(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> bool:

@@ -24,14 +24,13 @@ from .scalars import (
     poly_exact_div,
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
 )
-from .series import NUMERIC, PowerSeries
+from .series import NUMERIC
 from .diffpoly import (
-    DiffMono,
     DiffPoly,
+    Jet,
     _primitive_unit_lead,
     holds_on,
     mono_of,
-    mono_order,
     mono_rank,
     mono_total_degree,
     mono_weight,
@@ -330,14 +329,14 @@ def find_ade(
     if max_degree < 1 or max_coeff_degree < 0:
         raise DiscoveryError("degree bounds are out of range")
     escalations = []
-    expansion = _Expansion(subject, env, center, mode)
+    jet = Jet.expanding(subject, env, center, mode)
     for w in range(min_weight, max_weight + 1):
         for d in range(1, max_degree + 1):
             for c in range(0, max_coeff_degree + 1):
                 monos = candidate_monomials(w, d)
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
-                series = expansion.monomial_series(monos, n_solve)
+                series = jet.monomials(monos, n_solve)
                 basis, rank, n_rows = _kernel(series, c, center)
                 if not basis:
                     escalations.append(
@@ -372,50 +371,6 @@ def find_ade(
         f"coefficient degree {max_coeff_degree}",
         escalations,
     )
-
-
-class _Expansion:
-    """One subject's series for a whole search, grown on demand, with its
-    derivative stack and the series of every differential monomial built
-    from it.  It re-expands only when a stage needs more coefficients than
-    it holds, and then to exactly that need, dropping the monomials.  A
-    stage reads truncations: a product truncates, so they are the series
-    an expansion at the stage's own order would give."""
-
-    def __init__(self, subject: Expression, env: DefinitionEnvironment, center, mode):
-        self._subject, self._env, self._center, self._mode = subject, env, center, mode
-        self._derivs = []
-        self._monos = {}
-
-    def monomial_series(self, monos, order: int):
-        """The series of each monomial to the given order."""
-        depth = max(map(mono_order, monos))
-        if not self._derivs or self._derivs[0].order < order + depth:
-            base = expand_series(self._subject, self._center, order + depth, mode=self._mode, env=self._env)
-            self._derivs = [base]
-            self._monos = {}
-        while len(self._derivs) <= depth:
-            self._derivs.append(self._derivs[-1].derivative())
-        return [self._monomial(m).truncate(order) for m in monos]
-
-    def _monomial(self, m: DiffMono) -> PowerSeries:
-        # the monomial without its highest derivative, times that
-        # derivative's power: the association of the product of powers
-        # taken left to right, so numeric monomials keep their bits
-        out = self._monos.get(m)
-        if out is None:
-            if not m:
-                base = self._derivs[0]
-                out = PowerSeries.constant(base.domain.one, base.order, base.domain)
-            else:
-                k = len(m) - 1
-                rest = mono_of(m[:k])
-                if rest:
-                    out = self._monomial(rest) * self._monomial((0,) * k + (m[k],))
-                else:
-                    out = self._derivs[k] ** m[k]
-            self._monos[m] = out
-        return out
 
 
 def _best_candidate(basis, monos, degree: int) -> DiffPoly:

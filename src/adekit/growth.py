@@ -307,12 +307,15 @@ def baker_scan(
         raise GrowthError("iterate bound must be positive")
     f_closed = inline(f, env)
     rows = []
+    partner = []  # log M(r, g) on each radius, read at p = 1
     for p in range(1, max_p + 1):
         fp = compose_iterate(f_closed, p)
         all_strict = True
-        for r in radii:
+        for i, r in enumerate(radii):
             li = log_max_modulus(fp, env, r, samples)
-            lg = log_max_modulus(g, env, r, samples)
+            if p == 1:
+                partner.append(log_max_modulus(g, env, r, samples))
+            lg = partner[i]
             if math.isinf(li) and math.isinf(lg):
                 raise GrowthError(
                     f"both sides overflow at r={r}; reduce the radius to compare"

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .diffpoly import (
     DiffPoly,
+    Jet,
     diff_mono_text,
     holds_on,
     normalize,
@@ -25,7 +26,6 @@ from .discovery import (
     DiscoveryError,
     SearchOutcome,
     VerificationError,
-    _Expansion,
     _relation,
     find_ade,
 )
@@ -180,7 +180,7 @@ def transfer_ade(
     _require_holds(p, f, env, center, mode, "the source function")
 
     escalations = []
-    g_expansion = _Expansion(g, env, center, mode)
+    g_jet = Jet.expanding(g, env, center, mode)
     # the iterate of f and its equation, each built from the last
     composite, intermediate = f, p
     for qq in range(1, max_q + 1):
@@ -199,7 +199,7 @@ def transfer_ade(
         certificate = None
         for deg in range(cap + 1):
             n_solve = len(support) * (deg + 1) + SOLVE_MARGIN
-            series = g_expansion.monomial_series(support, n_solve)
+            series = g_jet.monomials(support, n_solve)
             rel = _relation(series, deg, center)
             if rel.found:
                 certificate = rel.certificate

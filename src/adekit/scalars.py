@@ -738,24 +738,10 @@ def frac_str(f: Frac) -> str:
 # Adjoined constants
 
 
-class SymbolicConstant:
-    """A constant symbol adjoined to the scalar domain.
-
-    The name is the canonical printed form of the defining expression (for
-    example ``exp(1)``); it doubles as the polynomial variable name, so two
-    structurally equal adjunctions share a symbol.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: complex):
-        self.name = name
-        self.value = value
-
-    def __repr__(self):
-        return f"SymbolicConstant({self.name})"
-
-
+# adjoined constant name -> its complex value; the name is the canonical
+# printed form of the defining expression (for example ``exp(1)``) and
+# doubles as the polynomial variable name, so two structurally equal
+# adjunctions share a symbol
 _REGISTRY: dict = {}
 _REGISTRY_LOCK = threading.Lock()
 
@@ -764,18 +750,17 @@ def adjoin_constant(key: str, value: complex) -> Frac:
     if key == _Z:
         raise ScalarError("'z' is reserved for the series variable")
     with _REGISTRY_LOCK:
-        known = _REGISTRY.get(key)
-        if known is None:
-            _REGISTRY[key] = SymbolicConstant(key, complex(value))
+        if key not in _REGISTRY:
+            _REGISTRY[key] = complex(value)
     return Frac.var(key)
 
 
 def constant_value(name: str) -> complex:
     with _REGISTRY_LOCK:
-        sc = _REGISTRY.get(name)
-    if sc is None:
+        value = _REGISTRY.get(name)
+    if value is None:
         raise ScalarError(f"unknown constant symbol {name!r}")
-    return sc.value
+    return value
 
 
 adjoin_constant("pi", math.pi)

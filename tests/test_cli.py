@@ -112,6 +112,21 @@ def test_check_permutable_rejects_and_exits_1(capsys):
     assert out.startswith("not permutable: series differ at index")
 
 
+def test_check_permutable_json_golden(capsys):
+    rc, out, err = run(
+        capsys, "check-permutable", "--subject", "f(z),g(z)", *PAIR_DEFS,
+        "--order", "8", "--format", "json",
+    )
+    assert (rc, err) == (0, "")
+    assert out == '{"equal": true, "order": 8, "first_mismatch": null, "mode": "exact"}\n'
+    rc, out, _ = run(
+        capsys, "check-permutable", "--subject", "exp(z),sin(z)",
+        "--mode", "numeric", "--format", "json",
+    )
+    assert rc == 1
+    assert out == '{"equal": false, "order": 16, "first_mismatch": 0, "mode": "numeric"}\n'
+
+
 def test_transfer_json_reruns_are_byte_identical(capsys):
     argv = (
         "transfer-ade", "--subject", "f(z),g(z)", *PAIR_DEFS,
@@ -197,6 +212,75 @@ def test_growth_baker_scan_not_found_exits_1(capsys):
     )
     assert rc == 1
     assert out.splitlines()[-1] == "baker_result,none"
+
+
+def _baker_row(p, r, log_iterate, log_partner, margin, strict):
+    return {
+        "p": p, "r": r, "log_iterate": log_iterate, "log_partner": log_partner,
+        "margin": margin, "strict": strict,
+    }
+
+
+def test_growth_baker_scan_json_golden(capsys):
+    rc, out, _ = run(
+        capsys,
+        "growth", "baker-scan", "--subject", "exp(z),exp(exp(z))",
+        "--max-p", "3", "--radii", "2,3", "--samples", "64", "--format", "json",
+    )
+    assert rc == 0
+    rows = [
+        _baker_row(1, 2.0, 2.0, 7.38905609893065, -5.38905609893065, False),
+        _baker_row(1, 3.0, 3.0000000000000004, 20.085536923187675, -17.085536923187675, False),
+        _baker_row(2, 2.0, 7.38905609893065, 7.38905609893065, 0.0, False),
+        _baker_row(2, 3.0, 20.085536923187675, 20.085536923187675, 0.0, False),
+        _baker_row(3, 2.0, 1618.1779919126539, 7.38905609893065, 1610.7889358137231, True),
+        _baker_row(3, 3.0, 528491311.4854981, 20.085536923187675, 528491291.3999612, True),
+    ]
+    # json.dumps keeps the key order written here, so this pins the order too
+    assert out == json.dumps({"p": 3, "tol": 1e-09, "rows": rows}) + "\n"
+    rc, out, _ = run(
+        capsys,
+        "growth", "baker-scan", "--subject", "exp(z),exp(exp(z))",
+        "--max-p", "1", "--radii", "2", "--samples", "64", "--format", "json",
+    )
+    assert rc == 1
+    assert out == json.dumps({"p": None, "tol": 1e-09, "rows": rows[:1]}) + "\n"
+
+
+def test_growth_inequalities_json_golden(capsys):
+    rc, out, _ = run(
+        capsys,
+        "growth", "inequalities", "--subject", "exp(z),exp(exp(z))",
+        "--radius", "4", "--samples", "256", "--format", "json",
+    )
+    assert rc == 0
+
+    def row(name, r, lhs, rhs, holds, note=""):
+        return {"name": name, "r": r, "lhs": lhs, "rhs": rhs, "holds": holds, "note": note}
+
+    convexity = [
+        (2.333058079152233, 0.05546384204428767),
+        (2.721580000348754, 0.06470018239112418),
+        (3.1748021039363987, 0.0754746416251173),
+        (3.703498849149161, 0.08804336120730039),
+        (4.3202389555692235, 0.10270513759020528),
+        (5.039684199579491, 0.1198085255126351),
+        (5.8789379691023935, 0.13976012419928363),
+        (6.857951862824581, 0.16303424345323236),
+    ]
+    rows = [
+        row("composition_lower_bound", 4.0, 5.148435562634557e23, 404.54449797816335, True, "inner radius 404.544"),
+        row("characteristic_below_log_max", 4.0, 1.273175628227284, 4.0, True),
+        row("log_max_below_triple_characteristic", 4.0, 4.0, 7.6390537693637, True),
+        *(
+            row("log_convexity", r, lhs, 0.0, True, f"second difference at grid point {k}")
+            for k, (r, lhs) in enumerate(convexity, start=1)
+        ),
+        row("shrunk_modulus_dominates_power", 4.0, -0.3862943611198906, 5.545177444479562, False, "log scale"),
+        row("joint_characteristic", 4.0, 4.164023873647214, 4.164023873647214, True, "U(r)"),
+        row("characteristic_triples_under_fourth_power", 1.5544062817709186, 3.0, 3.0, True, "smallest radius found"),
+    ]
+    assert out == json.dumps({"rows": rows}) + "\n"
 
 
 def test_growth_inequalities_reports_all_rows(capsys):

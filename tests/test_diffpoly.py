@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from adekit.scalars import Frac, Poly
-from adekit.series import PowerSeries
-from adekit.expr import EMPTY_ENV, parse
+from adekit.series import PowerSeries, frac_to_series
+from adekit.expr import EMPTY_ENV, expand_series, parse
 from adekit.diffpoly import (
     DiffPoly,
+    DiffPolyError,
+    Jet,
     ade_text,
-    apply_to_series,
-    derivative_stack,
     diff_mono_text,
     holds_on,
     mono_of,
@@ -93,8 +93,13 @@ def rand_series(rng, order):
     )
 
 
+def evaluate(p, jet, order):
+    terms = jet.terms(p.terms, (frac_to_series(c, 0, order) for c in p.terms.values()), order)
+    return sum(terms, PowerSeries.zero(order))
+
+
 def seeded_ring_and_derivation_sweep(count=100, seed=60103):
-    """Evaluation is a ring homomorphism and the stack really differentiates."""
+    """Evaluation on a jet is a ring homomorphism."""
     rng = random.Random(seed)
     checks = 0
     order = 10
@@ -103,13 +108,14 @@ def seeded_ring_and_derivation_sweep(count=100, seed=60103):
         q = rand_diffpoly(rng)
         s = rand_series(rng, order + 6)
         depth = max(p.order, q.order) + 1
-        derivs = derivative_stack(s, depth)
-        for k in range(1, depth):
-            assert derivs[k].truncate(order) == derivs[k - 1].derivative().truncate(order)
-        a = apply_to_series(p, derivs, 0, "exact").truncate(order)
-        b = apply_to_series(q, derivs, 0, "exact").truncate(order)
-        ab = apply_to_series(p * q, derivs, 0, "exact").truncate(order)
-        s_sum = apply_to_series(p + q, derivs, 0, "exact").truncate(order)
+        derivs = [s]
+        for _ in range(depth):
+            derivs.append(derivs[-1].derivative())
+        jet = Jet(derivs)
+        a = evaluate(p, jet, order)
+        b = evaluate(q, jet, order)
+        ab = evaluate(p * q, jet, order)
+        s_sum = evaluate(p + q, jet, order)
         assert ab == (a * b).truncate(order), "product must evaluate to the product"
         assert s_sum == a + b, "sum must evaluate to the sum"
         assert p * q == q * p and p + q == q + p
@@ -120,6 +126,22 @@ def seeded_ring_and_derivation_sweep(count=100, seed=60103):
 
 def test_seeded_ring_and_derivation_sweep():
     assert seeded_ring_and_derivation_sweep() == 100
+
+
+def test_expanding_jet_differentiates_on_demand():
+    jet = Jet.expanding(parse("sin(z)"), EMPTY_ENV, 0, "exact")
+    want = [expand_series(parse(t), 0, 9) for t in ("sin(z)", "cos(z)", "-sin(z)", "-cos(z)")]
+    assert jet.stack(3, 9) == want
+    # an expansion held for a deeper stack serves shorter requests by truncation
+    y0y1, y1_sq = jet.monomials([(1, 1), (0, 2)], 6)
+    assert y0y1 == (want[0] * want[1]).truncate(6)
+    assert y1_sq == (want[1] * want[1]).truncate(6)
+    given = Jet(want)
+    assert given.stack(3, 9) == want
+    with pytest.raises(DiffPolyError):
+        given.stack(4, 9)
+    with pytest.raises(DiffPolyError):
+        given.stack(3, 10)
 
 
 def test_weight_degree_additivity():

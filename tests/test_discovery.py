@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from adekit import discovery
+from adekit import diffpoly
 from adekit.scalars import Frac, GaussianRational, Poly
 from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
 from adekit.expr import EMPTY_ENV, DefinitionEnvironment, parse
@@ -333,17 +333,18 @@ def test_find_ade_expands_once_per_increase_of_the_solve_order(monkeypatch):
     # the five stages solve at orders 13, 16, 15, 20 and 14, plus one
     # derivative of the subject at weight 1 and two at weight 2: the
     # expansion grows at the first, second and fourth, and the others read
-    # truncations
+    # truncations; the check in holds_on expands on its own, at the verify
+    # order 24 plus two derivatives
     orders = []
-    expand = discovery.expand_series
+    expand = diffpoly.expand_series
 
     def counting(subject, center, order, **kw):
         orders.append(order)
         return expand(subject, center, order, **kw)
 
-    monkeypatch.setattr(discovery, "expand_series", counting)
+    monkeypatch.setattr(diffpoly, "expand_series", counting)
     out = find_ade(parse("sin(z)"), EMPTY_ENV, max_degree=2, max_coeff_degree=1)
-    assert orders == [14, 17, 21]
+    assert orders == [14, 17, 21, 26]
     assert ade_text(out.ade) == "y2 + y0"
     assert out.found_at == (2, 1, 0)
     assert [(e["weight"], e["degree"], e["coeff_degree"], e["unknowns"], e["rank"]) for e in out.escalations] == [

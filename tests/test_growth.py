@@ -142,6 +142,24 @@ def test_baker_scan_exponential_against_double_tower():
     assert all(row.margin > 0 and row.strict for row in by_p[3])
 
 
+def test_baker_scan_reads_the_partner_once_per_radius(monkeypatch):
+    from adekit import growth
+
+    calls = []
+    measure = growth.log_max_modulus
+
+    def counting(f, env, r, samples=1024):
+        calls.append(f)
+        return measure(f, env, r, samples)
+
+    monkeypatch.setattr(growth, "log_max_modulus", counting)
+    report = baker_scan(EXP, EXP2, EMPTY_ENV, 5, [2.0, 3.0, 4.0], samples=64)
+    assert report.p == 3
+    # three iterates and one partner reading on each of the three radii
+    assert len(calls) == (3 + 1) * 3
+    assert sum(f is EXP2 for f in calls) == 3
+
+
 def test_baker_scan_self_comparison_needs_two_iterates():
     report = baker_scan(EXP, EXP, EMPTY_ENV, 5, [1.0, 2.0], samples=64)
     assert report.p == 2

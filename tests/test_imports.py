@@ -121,3 +121,17 @@ def test_only_expr_reads_tokens():
             if named or imported:
                 readers.append(f"{path.stem}:{node.lineno}")
     assert not readers, "tokens read outside expr: " + ", ".join(readers)
+
+
+def test_only_diffpoly_differentiates_series():
+    # one jet builds every derivative stack; the series module defines the
+    # derivative and nothing else takes it
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("series", "diffpoly"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, call in _calls_by_function(tree):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "derivative":
+                callers.append(f"{path.stem}.{owner}:{call.lineno}")
+    assert not callers, "series differentiated outside diffpoly: " + ", ".join(callers)
