@@ -28,13 +28,13 @@ from .diffpoly import (
     mono_weight,
 )
 from .expr import (
+    Compose,
     DefinitionEnvironment,
     Expression,
     FuncRef,
     ONE,
     ZERO,
     _is_zero,
-    _split_const,
     add,
     differentiate,
     div,
@@ -153,12 +153,14 @@ def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: 
     """(the residual series, the series of its terms in summing order)."""
     if not support:
         return expand_series(ZERO, center, order, mode=mode, env=bound), []
-    # G_j = g^(j) at f(z): the derivative stack of g around f(center),
-    # each composed with the rest of f
+    # G_j = g^(j) at f(z): the composition expands the reference g^(j)
+    # with z bound to the series of f, like any other composition
     monos = list(support)
     depth = max(map(mono_order, monos))
-    f0, f_tail = _split_const(expand_series(FuncRef("f"), center, order, mode=mode, env=bound))
-    gs = [s.compose(f_tail) for s in Jet.expanding(FuncRef("g"), bound, f0, mode).stack(depth, order)]
+    gs = [
+        expand_series(Compose(FuncRef("g", j), FuncRef("f")), center, order, mode=mode, env=bound)
+        for j in range(depth + 1)
+    ]
     coeffs = (expand_series(support[m], center, order, mode=mode, env=bound) for m in monos)
     terms = Jet(gs).terms(monos, coeffs, order)
     return sum(terms[1:], terms[0]), terms

@@ -803,15 +803,19 @@ def expand_series(
     except SeriesError:
         raise ExprError(f"unknown mode {mode!r}") from None
     closed = inline(e, env if env is not None else EMPTY_ENV)
-    return _expand(closed, dom.center(center), order, dom)
+    z = PowerSeries(dom, ([dom.center(center), dom.one] + [dom.zero] * (order - 1))[: order + 1])
+    return _expand(closed, z)
 
 
-def _expand(e, center, order, dom) -> PowerSeries:
+def _expand(e, z: PowerSeries) -> PowerSeries:
+    """Fold e with Var bound to the series z; a composition folds its
+    outer with z bound to its inner's series."""
+    dom, order = z.domain, z.order
     vals = []
     for node, ops in e._subtrees:
         t = type(node)
         if t is Var:
-            v = PowerSeries(dom, ([center, dom.one] + [dom.zero] * (order - 1))[: order + 1])
+            v = z
         elif t is Lit:
             v = PowerSeries.constant(dom.literal(node.value), order, dom)
         elif t is PiConst:
@@ -829,8 +833,7 @@ def _expand(e, center, order, dom) -> PowerSeries:
             s0, c0 = dom.sin(u0), dom.cos(u0)
             v = s.scale(c0) + c.scale(s0) if t is Sin else c.scale(c0) - s.scale(s0)
         elif t is Compose:
-            u0, tail = _split_const(vals[ops[0]])
-            v = _expand(node.outer, u0, order, dom).compose(tail)
+            v = _expand(node.outer, vals[ops[0]])
         else:
             raise TypeError(f"not a closed expression node: {node!r}")
         vals.append(v)

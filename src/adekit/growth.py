@@ -448,12 +448,6 @@ def growth_suite(
         InequalityRow("shrunk_modulus_dominates_power", r, lhs, rhs, lhs > rhs, note="log scale")
     )
 
-    tf = characteristic(f, env, r, samples)
-    tg = characteristic(g, env, r, samples)
-    rows.append(
-        InequalityRow("joint_characteristic", r, max(tf, tg), max(tf, tg), True, note="U(r)")
-    )
-
     # smallest radius where T(r^4, g) has tripled relative to T(r, g)
     probe = None
     lo = max(0.5, r / 8.0)

@@ -169,7 +169,8 @@ def transfer_ade(
     of escalating coefficient degree; the first verified relation is the
     answer.  A support that admits none sends the search to the next
     iterate, which enlarges the comparison function and tames the
-    coefficients.
+    coefficients.  A pair whose compositions differ as series is
+    rejected before any search.
     """
     if q < 1 or max_q < q:
         raise DiscoveryError("iterate bounds must satisfy 1 <= q <= max_q")
@@ -178,6 +179,11 @@ def transfer_ade(
     if max_relation_degree is not None and max_relation_degree < 0:
         raise DiscoveryError("the relation degree bound must be nonnegative")
     _require_holds(p, f, env, center, mode, "the source function")
+    commute = check_permutable(f, g, env, center=center, mode=mode)
+    if not commute.equal:
+        raise DiscoveryError(
+            f"the functions do not commute: f(g) and g(f) differ at index {commute.first_mismatch}"
+        )
 
     escalations = []
     g_jet = Jet.expanding(g, env, center, mode)

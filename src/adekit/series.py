@@ -343,7 +343,11 @@ class PowerSeries:
         return PowerSeries(self.domain, [self.coeffs[k] * integer(k) for k in range(1, self.order + 1)])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Taylor coefficients of self(inner); inner must kill its constant term."""
+        """Taylor coefficients of self(inner) by Horner's rule; inner must
+        kill its constant term.  No evaluator composes this way: a
+        composition expands its outer on the inner series.  This is the
+        reference the series tests compare that route with, and a layer
+        the benchmark tracer counts."""
         self._check(inner)
         if not self.domain.is_zero(inner.coeffs[0]):
             raise SeriesError("composition needs an inner series with zero constant term")

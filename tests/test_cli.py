@@ -277,7 +277,6 @@ def test_growth_inequalities_json_golden(capsys):
             for k, (r, lhs) in enumerate(convexity, start=1)
         ),
         row("shrunk_modulus_dominates_power", 4.0, -0.3862943611198906, 5.545177444479562, False, "log scale"),
-        row("joint_characteristic", 4.0, 4.164023873647214, 4.164023873647214, True, "U(r)"),
         row("characteristic_triples_under_fourth_power", 1.5544062817709186, 3.0, 3.0, True, "smallest radius found"),
     ]
     assert out == json.dumps({"rows": rows}) + "\n"
@@ -320,6 +319,9 @@ def test_usage_errors_exit_2(capsys):
          "--def", "f=z+exp(z)"),
         ("compose-ade", "--subject", "exp(z),sin(z)", "--ade", "y1 - y0", "--ade", "y1 - y0"),
         ("compose-ade", "--subject", "exp(z),sin(z)", "--ade", "y1 + y0", "--ade", "y2 + y0"),
+        # a true equation for f, but f and g do not commute
+        ("transfer-ade", "--subject", "f(z),g(z)", "--def", "f=z+exp(z)", "--def", "g=z+1",
+         "--ade", "y2 - y1 + 1"),
     ]
     for argv in cases:
         rc = main(list(argv))

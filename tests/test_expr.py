@@ -489,6 +489,29 @@ def test_numeric_mode_matches_exact_mode_seeded():
             assert abs(polar - value) <= 1e-12 * scale, f"{to_text(e)} at {center}"
 
 
+def test_composition_matches_the_horner_reference():
+    # a composition expands its outer with z bound to the inner series;
+    # Horner's rule through PowerSeries.compose, with the outer expanded
+    # at the inner's constant term, is the reference
+    from adekit.series import PowerSeries
+
+    rng = random.Random(51203)
+    n = 6
+    for k in range(18):
+        outer = _rand_analytic(rng, rng.randint(1, 2))
+        if k % 3 == 0:
+            outer = Compose(outer, _rand_analytic(rng, 1))
+        inner = _rand_analytic(rng, rng.randint(1, 2))
+        for center in (Fraction(0), Fraction(1, 4)):
+            for c, mode in ((Frac.of(center), "exact"), (complex(center), "numeric")):
+                b = expand_series(inner, c, n, mode=mode)
+                tail = b - PowerSeries.constant(b[0], n, mode)
+                want = expand_series(outer, b[0], n, mode=mode).compose(tail)
+                got = expand_series(Compose(outer, inner), c, n, mode=mode)
+                what = f"{to_text(outer)} of {to_text(inner)} at {center}, {mode}"
+                assert got == want if mode == "exact" else got.close_to(want), what
+
+
 def test_nested_definitions_expand_as_their_inlined_tree():
     env = DefinitionEnvironment()
     env.define_text("f", "z/2+exp(z)/3")

@@ -135,3 +135,17 @@ def test_only_diffpoly_differentiates_series():
             if isinstance(call.func, ast.Attribute) and call.func.attr == "derivative":
                 callers.append(f"{path.stem}.{owner}:{call.lineno}")
     assert not callers, "series differentiated outside diffpoly: " + ", ".join(callers)
+
+
+def test_only_series_composes():
+    # a composition expands its outer on the inner series; Horner's rule
+    # in PowerSeries.compose stays only as the tests' reference
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "series":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, call in _calls_by_function(tree):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "compose":
+                callers.append(f"{path.stem}.{owner}:{call.lineno}")
+    assert not callers, "series composed outside series: " + ", ".join(callers)

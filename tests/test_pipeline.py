@@ -218,7 +218,7 @@ def test_transfer_builds_each_iterate_from_the_last(monkeypatch):
         )
 
     monkeypatch.setattr(pipeline, "compose_ade", counting_compose)
-    rep = transfer_ade(parse("exp(z)"), p, parse("sin(z)"), EMPTY_ENV, max_q=3)
+    rep = transfer_ade(parse("exp(z)"), p, parse("exp(exp(z))"), EMPTY_ENV, max_q=3)
     assert calls == [
         ("y1 - y0", "y1 - y0", "exp(z)", "exp(z)"),
         ("y1 - y0", "y1 - y0", "exp(z)", "(exp(z) @ exp(z))"),
