@@ -347,6 +347,11 @@ EMPTY_ENV.freeze()
 
 _TOKEN_OPS = set("+-*/^(),")
 
+# parentheses, call arguments and unary minus signs around any one factor;
+# each level costs the parser at most four frames, so this many stay within
+# Python's default recursion limit under a caller's own frames
+MAX_NESTING = 200
+
 
 def _lex(text: str):
     toks = []
@@ -397,6 +402,7 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.g = grammar
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -437,14 +443,20 @@ class _Parser:
         return e
 
     def factor(self):
+        # every level of nesting enters factor once more
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2])
+        self.depth += 1
         if self.peek()[0] == "-":
             # negation binds a whole factor
             self.take()
-            return self.g.neg(self.factor())
-        e = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            e = self.g.power(e, int(self.expect("int")[1]))
+            e = self.g.neg(self.factor())
+        else:
+            e = self.base()
+            if self.peek()[0] == "^":
+                self.take()
+                e = self.g.power(e, int(self.expect("int")[1]))
+        self.depth -= 1
         return e
 
     def base(self):

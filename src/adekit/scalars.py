@@ -88,10 +88,11 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
+        # the concrete type first: isinstance against Fraction is an ABC check
         if not isinstance(other, GaussianRational):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -253,7 +254,8 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly.const(1)
+        # shared: no operation writes to an operand's terms
+        return _POLY_ONE
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -266,7 +268,10 @@ class Poly:
         return all(m == () for m in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(): GR_ONE}
+        if self is _POLY_ONE:
+            return True
+        t = self.terms
+        return len(t) == 1 and t.get(()) == GR_ONE
 
     def const_value(self) -> GaussianRational:
         if not self.is_const():
@@ -372,6 +377,9 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+_POLY_ONE = Poly({(): GR_ONE})
 
 
 def _sorted_terms(p: Poly):
@@ -549,6 +557,15 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 # Fraction field
 
 
+def _times(a: Poly, b: Poly) -> Poly:
+    """a*b without the product when a factor is 1, as most denominators are."""
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
+    return a * b
+
+
 class Frac:
     """Normalized fraction of polynomials.
 
@@ -561,8 +578,9 @@ class Frac:
 
     def __init__(self, num: Poly, den: Poly | None = None, _normalized=False):
         if den is None:
-            den = Poly.one()
-        if _normalized:
+            den = _POLY_ONE
+        if _normalized or den.is_one():
+            # gcd(num, 1) = 1 and 1 is monic: already the normal form
             self.num, self.den = num, den
             return
         if den.is_zero():
@@ -635,7 +653,10 @@ class Frac:
         other = Frac.of(other)
         if self.den == other.den:
             return Frac(self.num + other.num, self.den)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        return Frac(
+            _times(self.num, other.den) + _times(other.num, self.den),
+            _times(self.den, other.den),
+        )
 
     __radd__ = __add__
 
@@ -650,7 +671,7 @@ class Frac:
 
     def __mul__(self, other):
         other = Frac.of(other)
-        return Frac(self.num * other.num, self.den * other.den)
+        return Frac(self.num * other.num, _times(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -658,7 +679,7 @@ class Frac:
         other = Frac.of(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero fraction")
-        return Frac(self.num * other.den, self.den * other.num)
+        return Frac(_times(self.num, other.den), _times(self.den, other.num))
 
     def __rtruediv__(self, other):
         return Frac.of(other) / self

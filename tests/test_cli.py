@@ -379,19 +379,32 @@ def test_series_of_a_huge_power_returns():
 
 
 def test_deeply_nested_subject_is_a_usage_error():
-    # the parser is the one recursive reader of expressions and runs out of
-    # stack; that is the caller's input, so it exits 2, never 1 ("false")
-    # with a traceback
-    subject = "(" * 2000 + "z" + ")" * 2000
+    # the parser bounds its nesting, so deep input is a parse error at the
+    # first token past the bound: that is the caller's input, so it exits 2,
+    # never 1 ("false") with a traceback
+    for subject in ("(" * 2000 + "z" + ")" * 2000, "-" * 2000 + "z", "exp(" * 2000 + "z" + ")" * 2000):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adekit.cli", "series", f"--subject={subject}", "--order", "2"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        # the 201st level starts there: "exp(" is four characters
+        offset = 804 if subject.startswith("exp") else 201
+        assert proc.stderr == f"error: expression nested too deeply at offset {offset}\n"
+        assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_equation_is_a_usage_error():
     proc = subprocess.run(
-        [sys.executable, "-m", "adekit.cli", "series", "--subject", subject, "--order", "2"],
+        [sys.executable, "-m", "adekit.cli", "iterate-ade", "--subject", "exp(z)", "--ade", "(" * 3000 + "y1" + ")" * 3000 + "-y0", "--count", "2"],
         capture_output=True,
         text=True,
         timeout=20,
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: expression nested too deeply\n"
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: expression nested too deeply at offset 201\n"
 
 
 def test_deep_iterate_expands():

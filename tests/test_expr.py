@@ -195,14 +195,43 @@ def test_unbalanced_parens():
 
 
 def test_deep_nesting_parses():
-    # the parser is recursive: 200 levels of parentheses or of calls stay
-    # within the default recursion limit, under pytest's own frames too
+    # the parser is recursive: 200 levels (its bound) of parentheses, calls
+    # or signs stay within the default recursion limit, under pytest's own
+    # frames too
+    from adekit.diffpoly import parse_ade
+
     assert parse("(" * 200 + "z" + ")" * 200) == Z
     e = parse("exp(" * 200 + "z" + ")" * 200)
     for _ in range(200):
         assert isinstance(e, Exp)
         e = e.arg
     assert e == Z
+    e = parse("-" * 200 + "z")
+    for _ in range(200):
+        assert e.left == lit(-1)
+        e = e.right
+    assert e == Z
+    assert parse_ade("(" * 200 + "y1" + ")" * 200) == parse_ade("y1")
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 3000 + "z" + ")" * 3000, 201),
+        ("-" * 3000 + "z", 201),
+        ("exp(" * 3000 + "z" + ")" * 3000, 804),
+        ("-(" * 1500 + "z" + ")" * 1500, 201),
+        ("(" * 201 + "z" + ")" * 201, 201),
+        ("z+" + "(" * 3000 + "z" + ")" * 3000, 203),
+    ],
+)
+def test_nesting_past_the_bound_is_a_parse_error(text, offset):
+    # the parser bounds its own recursion: the first factor nested deeper
+    # than MAX_NESTING levels is reported where it starts
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == offset
+    assert str(info.value) == f"expression nested too deeply at offset {offset}"
 
 
 def test_only_decimal_digits_are_numbers():

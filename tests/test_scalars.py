@@ -38,7 +38,8 @@ def rand_poly(rng, vars=("z",), max_deg=3, max_terms=4):
             e = rng.randint(0, max_deg)
             if e:
                 mono.append((v, e))
-        p = p + Poly({tuple(sorted(mono)): rand_gauss(rng)})
+        # z first, then the constants by name, as the monomials of Poly are
+        p = p + Poly({tuple(sorted(mono, key=lambda t: (t[0] != "z", t[0]))): rand_gauss(rng)})
     return p
 
 
@@ -194,3 +195,169 @@ def test_frac_value_numeric():
         frac_value(Frac(z))
     assert frac_value(Frac.of(3) / Frac.of(4)) == 0.75
     assert abs(frac_value(PI) - 3.141592653589793) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The normal form of Frac, its unit-denominator path and shared operands
+
+
+def _reference_normal_form(num, den):
+    """The (num, den) pair of the normaliser without a unit-denominator
+    path: reduce by the gcd, divide exactly, scale the denominator monic."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return Poly.zero(), Poly.const(1)
+    if den.is_const():
+        return num.scale(den.const_value().inverse()), Poly.const(1)
+    g = poly_gcd(num, den)
+    if not g.is_one():
+        num = poly_exact_div(num, g)
+        den = poly_exact_div(den, g)
+    if den.is_const():
+        return num.scale(den.const_value().inverse()), Poly.const(1)
+    _, lc = den.leading()
+    inv = lc.inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+def _assert_normal(got, num, den):
+    want_num, want_den = _reference_normal_form(num, den)
+    assert got.num.terms == want_num.terms and got.den.terms == want_den.terms, (got, num, den)
+    assert hash(got) == hash((want_num, want_den))
+    assert frac_str(got) == frac_str(Frac(want_num, want_den, _normalized=True))
+
+
+def _rand_gauss_int(rng):
+    return GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+
+
+def _rand_den(rng, vars):
+    """A unit, constant (2, 1+i, a random Gaussian rational) or
+    polynomial denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Poly.one()
+    if kind == 1:
+        return Poly.const(rng.choice([2, GaussianRational(1, 1)]))
+    if kind == 2:
+        return Poly.const(rand_gauss(rng) or 3)
+    den = rand_poly(rng, vars=vars, max_deg=2, max_terms=2)
+    return den if not den.is_zero() else Poly.var(vars[0]) + Poly.one()
+
+
+# three families: Q(i), Z[i][pi] and rational functions of z over Q(i)
+_FAMILIES = {
+    "Q(i)": lambda rng: (Poly.const(rand_gauss(rng)), Poly.one()),
+    "Z[i][pi]": lambda rng: (
+        sum((Poly({(("pi", e),) if e else (): _rand_gauss_int(rng)}) for e in range(rng.randint(1, 3))), Poly.zero()),
+        _rand_den(rng, ("pi",)),
+    ),
+    "Q(i)(z)": lambda rng: (rand_poly(rng, max_deg=2, max_terms=3), _rand_den(rng, ("z",))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_frac_normal_form_matches_the_reference(family):
+    rng = random.Random(1201 + sorted(_FAMILIES).index(family))
+    draw = _FAMILIES[family]
+    for _ in range(60):
+        pa, qa = draw(rng)
+        pb, qb = draw(rng)
+        a, b = Frac(pa, qa), Frac(pb, qb)
+        _assert_normal(a, pa, qa)
+        _assert_normal(b, pb, qb)
+        _assert_normal(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
+        _assert_normal(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
+        _assert_normal(a * b, a.num * b.num, a.den * b.den)
+        if b:
+            _assert_normal(a / b, a.num * b.den, a.den * b.num)
+        n = rng.randint(0, 3)
+        _assert_normal(a**n, a.num**n, a.den**n)
+        if a:
+            _assert_normal(a ** (-n), a.den**n, a.num**n)
+        _assert_normal(Frac.of(pa), pa, Poly.one())
+    for x in (0, 1, -3, Fraction(2, 3), GaussianRational(0, 1), GaussianRational(Fraction(-1, 2), 5)):
+        _assert_normal(Frac.of(x), Poly.const(x), Poly.one())
+
+
+def _snapshot(x):
+    """The terms of a Poly, or of a Frac's num and den, by value and by the
+    identity of the dict that holds them."""
+    if isinstance(x, Frac):
+        return _snapshot(x.num), _snapshot(x.den)
+    if isinstance(x, Poly):
+        return id(x.terms), {m: (c.re, c.im) for m, c in x.terms.items()}
+    return x
+
+
+def test_operations_never_write_to_their_operands():
+    # Poly.one() is one shared object and the unit-denominator path keeps
+    # its numerator, so no operation may write to an operand's terms
+    rng = random.Random(1212)
+    ops = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "neg": lambda a, b: -a,
+        "pow": lambda a, b: a**2,
+    }
+    one = Poly.one()
+    one_before = _snapshot(one)
+    for _ in range(30):
+        polys = [rand_poly(rng, vars=("z", "pi"), max_deg=2, max_terms=3) for _ in range(2)]
+        polys.append(rng.choice([Poly.one(), Poly.const(2), Poly.zero()]))
+        a, b = (rand_poly(rng, max_deg=2, max_terms=3) or Poly.one() for _ in range(2))
+        c = polys[2]
+        fracs = [Frac(a, b), Frac(b, c or Poly.one()), Frac.of(c), Frac(polys[0])]
+        for x in polys + fracs:
+            for y in polys + fracs:
+                if isinstance(x, Poly) != isinstance(y, Poly):
+                    continue
+                before = _snapshot(x), _snapshot(y)
+                for op in ops.values():
+                    op(x, y)
+                if isinstance(x, Poly):
+                    x.scale(rand_gauss(rng))
+                    x.scale(1)
+                    poly_gcd(x, y)
+                    if y:
+                        poly_exact_div(x * y, y)
+                else:
+                    Frac(x.num, x.den)
+                    if y:
+                        x / y
+                assert (_snapshot(x), _snapshot(y)) == before
+                assert _snapshot(one) == one_before
+    assert Poly.one() is one and one.is_one()
+
+
+def test_fractions_over_one_call_no_inverse_and_no_gcd(monkeypatch):
+    from adekit import scalars
+
+    calls = {"inverse": 0, "poly_gcd": 0}
+    inverse, gcd = GaussianRational.inverse, scalars.poly_gcd
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_gcd(a, b):
+        calls["poly_gcd"] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(GaussianRational, "inverse", counted_inverse)
+    monkeypatch.setattr(scalars, "poly_gcd", counted_gcd)
+    z, pi = Poly.var("z"), Poly.var("pi")
+    p = Poly.const(GaussianRational(Fraction(3, 7), 2)) * z * z + pi - Poly.const(5)
+    q = z * pi + Poly.const(Fraction(1, 2))
+    x, y = Frac(p), Frac(q)
+    assert x.num is p and x.den.is_one()
+    s, t = x + y, x * y
+    assert calls == {"inverse": 0, "poly_gcd": 0}
+    assert s == Frac(p + q) and t == Frac(p * q)
+    # the counters do count: a constant denominator inverts, a polynomial
+    # one takes a gcd
+    Frac(p, Poly.const(2))
+    Frac(p, q)
+    assert calls["inverse"] >= 1 and calls["poly_gcd"] >= 1
