@@ -15,11 +15,12 @@ definition environment.  :func:`expand_series` and :func:`eval_numeric`
 inline once and then walk a closed tree, without named references or
 iterates.
 
-Every walker, :func:`adekit.growth.eval_log_polar` included, is one loop
-over the same post-order: the distinct subtrees of an expression, children
-first, each with the positions of its operands.  It is built once per
-expression object with an explicit stack, so depth costs no recursion, and
-a subtree that a derivative tree repeats is folded once.
+Every walker, the log-polar block walker of :mod:`adekit.growth` included,
+is one loop over the same post-order: the distinct subtrees of an
+expression, children first, each with the positions of its operands.  It
+is built once per expression object with an explicit stack, so depth
+costs no recursion, and a subtree that a derivative tree repeats is
+folded once.
 
 Text has one reader: :func:`parse`, :func:`parse_pair` and
 :func:`adekit.diffpoly.parse_ade` run the same recursive-descent parser,

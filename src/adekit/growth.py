@@ -7,6 +7,12 @@ when an operation needs the value itself (another exponential on top, a
 trigonometric call) and the modulus exceeds float range does the result
 degrade to an overflow marker, which maximum-modulus readings report as
 infinity and mean-based readings refuse.
+
+A circle is evaluated node by node in blocks of samples: the post-order
+of the expression is folded once per block, and each node's value is a
+list with one (log_abs, angle) pair or OVERFLOW per sample.  Every sample
+goes through the same float operations as when it is evaluated alone,
+so no reading depends on the block size.
 """
 
 from __future__ import annotations
@@ -52,21 +58,33 @@ class _OverflowMarker:
 OVERFLOW = _OverflowMarker()
 
 
+def _pair(log_abs, angle) -> tuple:
+    """(log_abs, angle) in the normal form LogPolar stores: floats, the angle
+    reduced to [-pi, pi], and 0.0 for an angle that is not finite."""
+    return (float(log_abs), math.remainder(float(angle), TAU) if math.isfinite(angle) else 0.0)
+
+
+_ZERO = _pair(-math.inf, 0.0)
+_UNIT = _pair(0.0, 0.0)
+
+
+def _pair_of_complex(w: complex) -> tuple:
+    if w == 0:
+        return _ZERO
+    return _pair(math.log(abs(w)), cmath.phase(w))
+
+
 class LogPolar:
     """w = exp(log_abs) * exp(i*angle); log_abs of -inf encodes zero."""
 
     __slots__ = ("log_abs", "angle")
 
     def __init__(self, log_abs: float, angle: float):
-        self.log_abs = float(log_abs)
-        self.angle = math.remainder(float(angle), TAU) if math.isfinite(angle) else 0.0
+        self.log_abs, self.angle = _pair(log_abs, angle)
 
     @staticmethod
     def from_complex(w: complex) -> "LogPolar":
-        w = complex(w)
-        if w == 0:
-            return LogPolar(-math.inf, 0.0)
-        return LogPolar(math.log(abs(w)), cmath.phase(w))
+        return LogPolar(*_pair_of_complex(complex(w)))
 
     def is_zero(self) -> bool:
         return self.log_abs == -math.inf
@@ -83,115 +101,145 @@ class LogPolar:
         return f"LogPolar({self.log_abs!r}, {self.angle!r})"
 
 
-def _lp_add(a: LogPolar, b: LogPolar) -> LogPolar:
-    if a.is_zero():
+# One sample's arithmetic on (log_abs, angle) pairs that are not OVERFLOW.
+
+
+def _lp_add(a: tuple, b: tuple) -> tuple:
+    if a[0] == -math.inf:
         return b
-    if b.is_zero():
+    if b[0] == -math.inf:
         return a
     # factor out the larger modulus so the residual sum stays in range
-    if b.log_abs > a.log_abs:
+    if b[0] > a[0]:
         a, b = b, a
-    small = b.log_abs - a.log_abs
-    s = cmath.rect(1.0, a.angle) + cmath.rect(math.exp(small) if small > -745.0 else 0.0, b.angle)
+    small = b[0] - a[0]
+    s = cmath.rect(1.0, a[1]) + cmath.rect(math.exp(small) if small > -745.0 else 0.0, b[1])
     if s == 0:
-        return LogPolar(-math.inf, 0.0)
-    return LogPolar(a.log_abs + math.log(abs(s)), cmath.phase(s))
+        return _ZERO
+    return _pair(a[0] + math.log(abs(s)), cmath.phase(s))
 
 
-def _lp_neg(a: LogPolar) -> LogPolar:
-    if a.is_zero():
+def _lp_neg(a: tuple) -> tuple:
+    if a[0] == -math.inf:
         return a
-    return LogPolar(a.log_abs, a.angle + math.pi)
+    return _pair(a[0], a[1] + math.pi)
 
 
-def _lp_mul(a: LogPolar, b: LogPolar) -> LogPolar:
-    if a.is_zero() or b.is_zero():
-        return LogPolar(-math.inf, 0.0)
-    return LogPolar(a.log_abs + b.log_abs, a.angle + b.angle)
+def _lp_mul(a: tuple, b: tuple) -> tuple:
+    if a[0] == -math.inf or b[0] == -math.inf:
+        return _ZERO
+    return _pair(a[0] + b[0], a[1] + b[1])
 
 
-def _lp_div(a: LogPolar, b: LogPolar) -> LogPolar:
-    if b.is_zero():
+def _lp_div(a: tuple, b: tuple) -> tuple:
+    if b[0] == -math.inf:
         raise GrowthError("division by zero during growth evaluation")
-    if a.is_zero():
+    if a[0] == -math.inf:
         return a
-    return LogPolar(a.log_abs - b.log_abs, a.angle - b.angle)
+    return _pair(a[0] - b[0], a[1] - b[1])
 
 
 _LP_BINARY = {Add: _lp_add, Sub: lambda a, b: _lp_add(a, _lp_neg(b)), Mul: _lp_mul, Div: _lp_div}
 
 
-def _lp_pow(a: LogPolar, n: int) -> LogPolar:
+def _lp_pow(a: tuple, n: int) -> tuple:
     if n == 0:
-        return LogPolar(0.0, 0.0)
-    if a.is_zero():
+        return _UNIT
+    if a[0] == -math.inf:
         return a
-    return LogPolar(n * a.log_abs, n * a.angle)
+    return _pair(n * a[0], n * a[1])
 
 
-def _lp_exp(a: LogPolar):
-    if a.is_zero():
-        return LogPolar(0.0, 0.0)
-    if a.log_abs > EXP_LIMIT:
+def _lp_exp(a: tuple):
+    if a[0] == -math.inf:
+        return _UNIT
+    if a[0] > EXP_LIMIT:
         return OVERFLOW
-    w = cmath.rect(math.exp(a.log_abs), a.angle)
-    return LogPolar(w.real, w.imag)
+    w = cmath.rect(math.exp(a[0]), a[1])
+    return _pair(w.real, w.imag)
 
 
-def _lp_trig(a: LogPolar, fn):
-    if a.is_zero():
+def _lp_trig(a: tuple, fn):
+    if a[0] == -math.inf:
         w = 0j
-    elif a.log_abs > EXP_LIMIT:
+    elif a[0] > EXP_LIMIT:
         return OVERFLOW
     else:
-        w = cmath.rect(math.exp(a.log_abs), a.angle)
+        w = cmath.rect(math.exp(a[0]), a[1])
     try:
         v = fn(w)
     except OverflowError:
         # |sin w| and |cos w| grow like exp(|Im w|)/2
-        return LogPolar(abs(w.imag) - math.log(2.0), 0.0)
-    return LogPolar.from_complex(v)
+        return _pair(abs(w.imag) - math.log(2.0), 0.0)
+    return _pair_of_complex(v)
 
 
-def eval_log_polar(e: Expression, arg: LogPolar):
-    """Evaluate with a log-polar argument; OVERFLOW propagates.  Closed
-    expressions only: resolve named references with
-    :func:`~adekit.expr.inline` first."""
+# Samples per block of a circle: enough that each node's loop runs long,
+# few enough that the per-node lists stay small next to the output.
+BLOCK_SAMPLES = 256
+
+
+def _eval_block(e: Expression, args: list) -> list:
+    """Evaluate e on every argument of a block at once, node by node: each
+    node's value is a list with one entry per argument, a pair or OVERFLOW.
+    A sample sees the same float operations, in the same order, as when
+    it is evaluated alone."""
     vals = []
     for node, ops in e._subtrees:
         t = type(node)
-        a = vals[ops[0]] if ops else None
         if t is Var:
-            v = arg
+            v = args
         elif t is Lit:
-            v = LogPolar.from_complex(node.value.to_complex())
+            v = [_pair_of_complex(node.value.to_complex())] * len(args)
         elif t is PiConst:
-            v = LogPolar(math.log(math.pi), 0.0)
-        elif a is OVERFLOW or (t in _LP_BINARY and vals[ops[1]] is OVERFLOW):
-            v = OVERFLOW
+            v = [_pair(math.log(math.pi), 0.0)] * len(args)
         elif t in _LP_BINARY:
-            v = _LP_BINARY[t](a, vals[ops[1]])
+            op = _LP_BINARY[t]
+            v = [
+                OVERFLOW if a is OVERFLOW or b is OVERFLOW else op(a, b)
+                for a, b in zip(vals[ops[0]], vals[ops[1]])
+            ]
         elif t is Pow:
-            v = _lp_pow(a, node.exponent)
+            n = node.exponent
+            v = [a if a is OVERFLOW else _lp_pow(a, n) for a in vals[ops[0]]]
         elif t is Exp:
-            v = _lp_exp(a)
+            v = [a if a is OVERFLOW else _lp_exp(a) for a in vals[ops[0]]]
         elif t is Sin or t is Cos:
-            v = _lp_trig(a, cmath.sin if t is Sin else cmath.cos)
+            fn = cmath.sin if t is Sin else cmath.cos
+            v = [a if a is OVERFLOW else _lp_trig(a, fn) for a in vals[ops[0]]]
         elif t is Compose:
-            v = eval_log_polar(node.outer, a)
+            # the outer runs only on the samples whose inner is a number, so
+            # an overflowed sample stays OVERFLOW even under a constant outer
+            inner = vals[ops[0]]
+            live = [a for a in inner if a is not OVERFLOW]
+            outer = iter(_eval_block(node.outer, live) if live else ())
+            v = [a if a is OVERFLOW else next(outer) for a in inner]
         else:
             raise TypeError(f"not a closed expression node: {node!r}")
         vals.append(v)
     return vals[-1]
 
 
+def eval_log_polar(e: Expression, arg: LogPolar):
+    """Evaluate with a log-polar argument; OVERFLOW propagates.  Closed
+    expressions only: resolve named references with
+    :func:`~adekit.expr.inline` first."""
+    (v,) = _eval_block(e, [(arg.log_abs, arg.angle)])
+    return v if v is OVERFLOW else LogPolar(*v)
+
+
 # ---------------------------------------------------------------------------
 # Circle statistics
+
+
+MAX_SAMPLES = 2**20
 
 
 def _check_samples(samples: int):
     if samples < 64 or samples & (samples - 1):
         raise GrowthError("sample count must be a power of two, at least 64")
+    if samples > MAX_SAMPLES:
+        raise GrowthError(f"sample count must be at most {MAX_SAMPLES}")
 
 
 def _check_radius(r: float):
@@ -206,20 +254,36 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
     r = _check_radius(r)
     _check_samples(samples)
     closed = inline(f, env)
+    log_r = math.log(r)
     out = []
-    for k in range(samples):
-        theta = TAU * k / samples
-        z = LogPolar(math.log(r), theta)
-        v = eval_log_polar(closed, z)
-        out.append(OVERFLOW if v is OVERFLOW else v.log_abs)
+    for start in range(0, samples, BLOCK_SAMPLES):
+        block = range(start, min(start + BLOCK_SAMPLES, samples))
+        args = [_pair(log_r, TAU * k / samples) for k in block]
+        out.extend(v if v is OVERFLOW else v[0] for v in _eval_block(closed, args))
     return out
 
-def log_max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 1024) -> float:
-    """log M(r, f) over a sampled circle; infinity when any sample overflows."""
-    values = circle_log_abs(f, env, r, samples)
+
+def _log_max(values: list) -> float:
     if any(v is OVERFLOW for v in values):
         return math.inf
     return max(values)
+
+
+def _characteristic(values: list, r: float) -> float:
+    total = 0.0
+    for v in values:
+        if v is OVERFLOW:
+            raise GrowthError(
+                f"modulus overflows float range on the circle r={r}; reduce the radius"
+            )
+        if v > 0.0:
+            total += v
+    return total / len(values)
+
+
+def log_max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 1024) -> float:
+    """log M(r, f) over a sampled circle; infinity when any sample overflows."""
+    return _log_max(circle_log_abs(f, env, r, samples))
 
 
 def max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 1024) -> float:
@@ -235,16 +299,7 @@ def max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: in
 def characteristic(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 4096) -> float:
     """Mean of max(log |f|, 0) over the circle, the growth characteristic
     of an entire function."""
-    values = circle_log_abs(f, env, r, samples)
-    total = 0.0
-    for v in values:
-        if v is OVERFLOW:
-            raise GrowthError(
-                f"modulus overflows float range on the circle r={r}; reduce the radius"
-            )
-        if v > 0.0:
-            total += v
-    return total / samples
+    return _characteristic(circle_log_abs(f, env, r, samples), r)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +432,9 @@ def characteristic_sandwich(
 ) -> list:
     """T(r) <= log M(r) <= 3 T(2r)."""
     r = _check_radius(r)
-    t = characteristic(f, env, r, samples)
-    lm = log_max_modulus(f, env, r, samples)
+    values = circle_log_abs(f, env, r, samples)
+    t = _characteristic(values, r)
+    lm = _log_max(values)
     if math.isinf(lm):
         raise GrowthError("modulus overflows at this radius")
     t2 = characteristic(f, env, 2.0 * r, samples)

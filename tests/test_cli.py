@@ -332,6 +332,20 @@ def test_usage_errors_exit_2(capsys):
         assert captured.err.count("\n") == 1, argv
 
 
+def test_growth_sample_cap_is_a_usage_error(capsys, monkeypatch):
+    # 2^31 samples would run for days; the cap rejects the count before
+    # any sample is evaluated
+    from adekit import growth
+
+    evaluated = []
+    monkeypatch.setattr(growth, "_eval_block", lambda *args: evaluated.append(args))
+    rc, out, err = run(capsys, "growth", "characteristic", "--subject", "exp(z)", "--samples", "2147483648")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: sample count must be at most {growth.MAX_SAMPLES}\n"
+    assert not evaluated
+
+
 def test_pair_errors_report_offsets_in_the_whole_subject(capsys):
     rc, _, err = run(capsys, "check-permutable", "--subject", "exp(z), sin(z)+*")
     assert rc == 2

@@ -579,7 +579,7 @@ def test_walkers_reenter_only_outers_and_definitions():
     src = Path(__file__).resolve().parent.parent / "src" / "adekit"
     walkers = {
         "expr": {"to_text", "differentiate", "inline", "_eval", "_frac_fold", "_expand"},
-        "growth": {"eval_log_polar", "is_transcendental"},
+        "growth": {"_eval_block", "eval_log_polar", "is_transcendental"},
     }
     allowed = {"node.outer", "env.lookup(node.name)"}
     seen, bad = set(), []

@@ -1,12 +1,36 @@
 """Growth-scale numerics: log-polar evaluation, circle statistics, and
 the iterate-domination scan they feed."""
 
+import cmath
 import math
+import random
+import sys
+import tracemalloc
 
 import pytest
 
-from adekit.expr import DefinitionEnvironment, EMPTY_ENV, parse
+from adekit.expr import (
+    Add,
+    Compose,
+    Cos,
+    DefinitionEnvironment,
+    Div,
+    EMPTY_ENV,
+    Exp,
+    ExprError,
+    Lit,
+    Mul,
+    PiConst,
+    Pow,
+    Sin,
+    Sub,
+    Var,
+    inline,
+    parse,
+)
 from adekit.growth import (
+    MAX_SAMPLES,
+    TAU,
     GrowthError,
     LogPolar,
     OVERFLOW,
@@ -90,6 +114,8 @@ def test_sample_and_radius_validation():
         circle_log_abs(EXP, EMPTY_ENV, 1.0, 100)
     with pytest.raises(GrowthError):
         circle_log_abs(EXP, EMPTY_ENV, 1.0, 32)
+    with pytest.raises(GrowthError, match="at most"):
+        circle_log_abs(EXP, EMPTY_ENV, 1.0, 2 * MAX_SAMPLES)
     with pytest.raises(GrowthError):
         circle_log_abs(EXP, EMPTY_ENV, -1.0, 64)
     with pytest.raises(GrowthError):
@@ -243,3 +269,271 @@ def test_growth_suite_reports_honest_failures():
     assert [r.holds for r in named["shrunk_modulus_dominates_power"]] == [False]
     probe = named["characteristic_triples_under_fourth_power"][0]
     assert probe.holds and math.isfinite(probe.r)
+
+
+def test_characteristic_sandwich_reads_each_circle_once(monkeypatch):
+    from adekit import growth
+
+    calls = []
+    read = growth.circle_log_abs
+
+    def counting(f, env, r, samples):
+        calls.append((f, r))
+        return read(f, env, r, samples)
+
+    monkeypatch.setattr(growth, "circle_log_abs", counting)
+    rows = characteristic_sandwich(EXP, EMPTY_ENV, 4.0, samples=256)
+    assert [row.holds for row in rows] == [True, True]
+    # T(r) and log M(r) come from one reading; T(2r) from a second
+    assert calls == [(EXP, 4.0), (EXP, 8.0)]
+    calls.clear()
+    growth_suite(EXP, EXP2, EMPTY_ENV, 4.0, samples=256)
+    assert len(calls) == len(set(calls)) == 30
+    # an overflowing circle still fails on the characteristic's message
+    with pytest.raises(GrowthError, match="overflows float range on the circle r=4.0"):
+        characteristic_sandwich(EXP4, EMPTY_ENV, 4.0, samples=64)
+
+
+# ---------------------------------------------------------------------------
+# The per-sample walker that circles used before they were evaluated in
+# blocks, kept as the reference: one tree walk per sample, one LogPolar
+# object per node.
+
+
+class _RefPolar:
+    __slots__ = ("log_abs", "angle")
+
+    def __init__(self, log_abs, angle):
+        self.log_abs = float(log_abs)
+        self.angle = math.remainder(float(angle), TAU) if math.isfinite(angle) else 0.0
+
+    @staticmethod
+    def from_complex(w):
+        w = complex(w)
+        if w == 0:
+            return _RefPolar(-math.inf, 0.0)
+        return _RefPolar(math.log(abs(w)), cmath.phase(w))
+
+    def is_zero(self):
+        return self.log_abs == -math.inf
+
+
+def _ref_add(a, b):
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if b.log_abs > a.log_abs:
+        a, b = b, a
+    small = b.log_abs - a.log_abs
+    s = cmath.rect(1.0, a.angle) + cmath.rect(math.exp(small) if small > -745.0 else 0.0, b.angle)
+    if s == 0:
+        return _RefPolar(-math.inf, 0.0)
+    return _RefPolar(a.log_abs + math.log(abs(s)), cmath.phase(s))
+
+
+def _ref_neg(a):
+    if a.is_zero():
+        return a
+    return _RefPolar(a.log_abs, a.angle + math.pi)
+
+
+def _ref_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return _RefPolar(-math.inf, 0.0)
+    return _RefPolar(a.log_abs + b.log_abs, a.angle + b.angle)
+
+
+def _ref_div(a, b):
+    if b.is_zero():
+        raise GrowthError("division by zero during growth evaluation")
+    if a.is_zero():
+        return a
+    return _RefPolar(a.log_abs - b.log_abs, a.angle - b.angle)
+
+
+_REF_BINARY = {Add: _ref_add, Sub: lambda a, b: _ref_add(a, _ref_neg(b)), Mul: _ref_mul, Div: _ref_div}
+
+
+def _ref_pow(a, n):
+    if n == 0:
+        return _RefPolar(0.0, 0.0)
+    if a.is_zero():
+        return a
+    return _RefPolar(n * a.log_abs, n * a.angle)
+
+
+def _ref_exp(a):
+    if a.is_zero():
+        return _RefPolar(0.0, 0.0)
+    if a.log_abs > 709.0:
+        return OVERFLOW
+    w = cmath.rect(math.exp(a.log_abs), a.angle)
+    return _RefPolar(w.real, w.imag)
+
+
+def _ref_trig(a, fn):
+    if a.is_zero():
+        w = 0j
+    elif a.log_abs > 709.0:
+        return OVERFLOW
+    else:
+        w = cmath.rect(math.exp(a.log_abs), a.angle)
+    try:
+        v = fn(w)
+    except OverflowError:
+        return _RefPolar(abs(w.imag) - math.log(2.0), 0.0)
+    return _RefPolar.from_complex(v)
+
+
+def _ref_eval(e, arg):
+    vals = []
+    for node, ops in e._subtrees:
+        t = type(node)
+        a = vals[ops[0]] if ops else None
+        if t is Var:
+            v = arg
+        elif t is Lit:
+            v = _RefPolar.from_complex(node.value.to_complex())
+        elif t is PiConst:
+            v = _RefPolar(math.log(math.pi), 0.0)
+        elif a is OVERFLOW or (t in _REF_BINARY and vals[ops[1]] is OVERFLOW):
+            v = OVERFLOW
+        elif t in _REF_BINARY:
+            v = _REF_BINARY[t](a, vals[ops[1]])
+        elif t is Pow:
+            v = _ref_pow(a, node.exponent)
+        elif t is Exp:
+            v = _ref_exp(a)
+        elif t is Sin or t is Cos:
+            v = _ref_trig(a, cmath.sin if t is Sin else cmath.cos)
+        elif t is Compose:
+            v = _ref_eval(node.outer, a)
+        else:
+            raise TypeError(f"not a closed expression node: {node!r}")
+        vals.append(v)
+    return vals[-1]
+
+
+def _ref_circle(f, env, r, samples):
+    closed = inline(f, env)
+    out = []
+    for k in range(samples):
+        v = _ref_eval(closed, _RefPolar(math.log(r), TAU * k / samples))
+        out.append(OVERFLOW if v is OVERFLOW else v.log_abs)
+    return out
+
+
+def _outcome(reading, *args):
+    try:
+        return repr(reading(*args))
+    except GrowthError as exc:
+        return f"GrowthError: {exc}"
+
+
+def _random_subject(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["z", "z", "z", "z", "3*z", "2", "1/3", "pi", "i", "(2-i)"])
+    kind = rng.choice(["+", "-", "*", "/", "^", "exp", "exp", "sin", "cos", "h"])
+    if kind in "+-*/":
+        return f"({_random_subject(rng, depth - 1)}){kind}({_random_subject(rng, depth - 1)})"
+    if kind == "^":
+        return f"({_random_subject(rng, depth - 1)})^{rng.randint(0, 3)}"
+    return f"{kind}({_random_subject(rng, depth - 1)})"
+
+
+def _sweep_env():
+    env = DefinitionEnvironment()
+    env.define_text("h", "exp(z)/2 + z")
+    # constant outers: a number, and a quotient by an exact zero
+    env.define_text("k", "pi+2")
+    env.define_text("c", "1/sin(0*z)")
+    return env
+
+
+def test_circles_match_the_per_sample_walker_bit_for_bit():
+    rng = random.Random(13)
+    env = _sweep_env()
+    subjects = [
+        "exp(z)",
+        "exp(exp(z))",
+        "exp(exp(exp(z)))",
+        "exp(exp(exp(exp(z))))",
+        "exp(2*exp(-z)) - exp(z)^3",
+        "sin(exp(z))/(3+cos(z))",
+        "pi*z^2 - i/z",
+        "iter(h, 3)",
+    ]
+    while len(subjects) < 30:
+        text = _random_subject(rng, 4)
+        try:
+            f = parse(text, env)
+        except (ExprError, ZeroDivisionError):
+            continue
+        if any(type(node) is Var for node, _ in inline(f, env)._subtrees):
+            subjects.append(text)
+    for text in subjects:
+        f = parse(text, env)
+        for r in (0.5, 2.0, 4.0):
+            for samples in (64, 256, 512):
+                assert _outcome(circle_log_abs, f, env, r, samples) == _outcome(
+                    _ref_circle, f, env, r, samples
+                ), (text, r, samples)
+
+
+@pytest.mark.parametrize(
+    "text, r, samples",
+    [
+        # exact zeros: a zero literal, and a difference that cancels on
+        # some samples and leaves rounding residue on others
+        ("0*exp(z)", 2.0, 64),
+        ("(z+1)-(z+1)", 2.0, 256),
+        # a constant outer over an inner that overflows on part of the
+        # circle, and on all of it
+        ("k(exp(exp(exp(exp(z)))))", 4.0, 512),
+        ("c(exp(exp(z+1000)))", 1.0, 64),
+        # |Im w| past 710: cmath.sin and cmath.cos raise OverflowError
+        ("sin(1000*z) + cos(900*z)", 1.0, 256),
+        # division by an exact zero
+        ("1/sin(0*z)", 1.0, 64),
+    ],
+)
+def test_fixed_circles_match_the_per_sample_walker(text, r, samples):
+    env = _sweep_env()
+    f = parse(text, env)
+    got = _outcome(circle_log_abs, f, env, r, samples)
+    assert got == _outcome(_ref_circle, f, env, r, samples)
+    if text == "1/sin(0*z)":
+        assert got == "GrowthError: division by zero during growth evaluation"
+
+
+def test_one_sample_evaluation_matches_the_per_sample_walker():
+    def reading(walk, closed, arg):
+        v = walk(closed, arg)
+        return v if v is OVERFLOW else (v.log_abs, v.angle)
+
+    env = _sweep_env()
+    # at 4 the inner overflows and the quotient by zero is never reached
+    for text in ("c(exp(exp(exp(exp(z)))))", "sin(1000*z)", "exp(exp(exp(z)))/z", "(z+1)-(z+1)"):
+        closed = inline(parse(text, env), env)
+        for z0 in (4.0, -1.5 + 0.5j, 1j, 0.25):
+            assert _outcome(reading, eval_log_polar, closed, LogPolar.from_complex(z0)) == _outcome(
+                reading, _ref_eval, closed, _RefPolar.from_complex(z0)
+            ), (text, z0)
+    assert eval_log_polar(inline(parse("c(exp(exp(exp(exp(z)))))", env), env), LogPolar.from_complex(4.0)) is OVERFLOW
+
+
+def test_circle_memory_stays_near_its_output():
+    # samples are evaluated in blocks, so the working lists stay small next
+    # to the output: a pass over the whole circle at once holds one list
+    # per node and peaks at several times the output
+    f = parse("exp(exp(z))")
+    circle_log_abs(f, EMPTY_ENV, 2.0, 64)  # build the post-order first
+    tracemalloc.start()
+    try:
+        out = circle_log_abs(f, EMPTY_ENV, 2.0, 2**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(out) + sum(sys.getsizeof(v) for v in out)
+    assert peak < 2 * size, (peak, size)
