@@ -34,7 +34,6 @@ from .expr import (
     FuncRef,
     ONE,
     ZERO,
-    _is_zero,
     add,
     differentiate,
     div,
@@ -63,7 +62,7 @@ def derivative_transfer(k: int) -> dict:
         nxt = {}
 
         def put(mono: DiffMono, coeff: Expression):
-            if _is_zero(coeff):
+            if coeff == ZERO:
                 return
             nxt[mono] = add(nxt[mono], coeff) if mono in nxt else coeff
 
@@ -111,7 +110,7 @@ def transfer_support(p: DiffPoly) -> dict:
                 acc = _table_product(acc, table(k))
         for m, c in acc.items():
             total[m] = add(total[m], c) if m in total else c
-    return {m: c for m, c in total.items() if not _is_zero(c)}
+    return {m: c for m, c in total.items() if c != ZERO}
 
 
 def support_monomials(support: dict):

@@ -20,8 +20,8 @@ from .scalars import (
     GaussianRational,
     binary_power,
     frac_str,
-    primitive_numerators,
-    _has_toplevel,
+    has_toplevel,
+    unit_lead_numerators,
 )
 from .series import PowerSeries, frac_to_series
 from .expr import Grammar, ParseError, expand_series, parse_text
@@ -140,9 +140,6 @@ class DiffPoly:
             raise DiffPolyError("zero differential polynomial has no leading monomial")
         return max(self.terms, key=mono_rank)
 
-    def support(self):
-        return set(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, DiffPoly) and self.terms == other.terms
 
@@ -200,7 +197,7 @@ def _frac_is_negative(c: Frac) -> bool:
 
 def _coeff_factor_text(c: Frac) -> str:
     txt = frac_str(c)
-    if _has_toplevel(txt, "+-"):
+    if has_toplevel(txt, "+-"):
         return f"({txt})"
     return txt
 
@@ -282,15 +279,8 @@ def normalize(p: DiffPoly) -> DiffPoly:
         return p
     monos = list(p.terms)
     lead = monos.index(max(monos, key=mono_rank))
-    return DiffPoly(dict(zip(monos, _primitive_unit_lead(p.terms.values(), lead))))
-
-
-def _primitive_unit_lead(coeffs, lead: int) -> list:
-    """Coefficients cleared to coprime polynomials, scaled so that the
-    leading scalar of the entry at position lead is +1."""
-    nums = primitive_numerators(coeffs)
-    inv = Frac.of(nums[lead].leading()[1].inverse())
-    return [Frac(q) * inv for q in nums]
+    nums = unit_lead_numerators(p.terms.values(), lead)
+    return DiffPoly({m: Frac(q) for m, q in zip(monos, nums)})
 
 
 # ---------------------------------------------------------------------------

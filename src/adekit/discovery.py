@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .scalars import (
     FRAC_ONE,
@@ -23,12 +22,12 @@ from .scalars import (
     clear_denominators,
     poly_exact_div,
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
+    unit_lead_numerators,
 )
 from .series import NUMERIC
 from .diffpoly import (
     DiffPoly,
     Jet,
-    _primitive_unit_lead,
     holds_on,
     mono_of,
     mono_rank,
@@ -61,30 +60,16 @@ class VerificationError(DiscoveryError):
 # Exact and numeric nullspaces
 
 
-def _clear_row(row):
-    out = clear_denominators(row)
-    # also clear the rational denominators inside the coefficients, so the
-    # fraction-free elimination multiplies integers rather than fractions
-    denoms = 1
-    for q in out:
-        for g in q.terms.values():
-            denoms = lcm(denoms, g.re.denominator, g.im.denominator)
-    if denoms != 1:
-        grow = GaussianRational(denoms)
-        out = [q.scale(grow) for q in out]
-    return out
-
-
 def exact_nullspace(rows):
     """Right nullspace basis of a matrix of scalar fractions.
 
-    Rows are cleared to polynomial entries and eliminated fraction-free,
-    so every intermediate division is exact; the basis vectors come back
-    over the fraction field, one per free column.
+    Rows are cleared to polynomials with Gaussian-integer coefficients and
+    eliminated fraction-free, so every intermediate division is exact; the
+    basis vectors come back over the fraction field, one per free column.
     """
     if not rows:
         return [], 0
-    mat = [_clear_row(r) for r in rows]
+    mat = [clear_denominators(r) for r in rows]
     m, n = len(mat), len(mat[0])
     prev = Poly.one()
     pivots = []
@@ -242,26 +227,17 @@ def relation_search(
         raise DiscoveryError("coefficient degree must be nonnegative")
     n_solve = len(funcs) * (degree + 1) + SOLVE_MARGIN
     series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in funcs]
-    return _relation(series, degree, center)
-
-
-def _relation(series, degree: int, center) -> RelationResult:
-    """relation_search on series already expanded to the solve order."""
     basis, rank, n_rows = _kernel(series, degree, center)
-    result = RelationResult(None, degree, rank, len(series) * (degree + 1), n_rows, series[0].order)
-    if not basis:
-        return result
     best = None
     for vec in basis:
         coeffs = [
             _coefficient_frac(vec[k * (degree + 1) : (k + 1) * (degree + 1)], degree)
-            for k in range(len(series))
+            for k in range(len(funcs))
         ]
         nonzero = [k for k, c in enumerate(coeffs) if not c.is_zero()]
         if nonzero:
-            # clear denominators and make the first nonzero entry's
-            # leading scalar +1
-            coeffs = _primitive_unit_lead(coeffs, nonzero[0])
+            # the first nonzero entry's leading scalar is +1
+            coeffs = [Frac(q) for q in unit_lead_numerators(coeffs, nonzero[0])]
         key = (
             sum(1 for c in coeffs if not c.is_zero()),
             sum(c.num.degree_in("z") for c in coeffs),
@@ -269,8 +245,8 @@ def _relation(series, degree: int, center) -> RelationResult:
         )
         if best is None or key < best[0]:
             best = (key, coeffs)
-    result.certificate = best[1]
-    return result
+    certificate = None if best is None else best[1]
+    return RelationResult(certificate, degree, rank, len(funcs) * (degree + 1), n_rows, series[0].order)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +312,8 @@ def find_ade(
                 monos = candidate_monomials(w, d)
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
-                series = jet.monomials(monos, n_solve)
-                basis, rank, n_rows = _kernel(series, c, center)
-                if not basis:
+                candidate, rank, n_rows, dimension = search_stage(jet, monos, c, n_solve, center)
+                if candidate is None:
                     escalations.append(
                         {
                             "weight": w,
@@ -349,7 +324,6 @@ def find_ade(
                         }
                     )
                     continue
-                candidate = _best_candidate(basis, monos, c)
                 verify_order = n_solve + VERIFY_MARGIN
                 if not holds_on(candidate, subject, env, center, verify_order, mode):
                     raise VerificationError(
@@ -363,7 +337,7 @@ def find_ade(
                     num_equations=n_rows,
                     solve_order=n_solve,
                     verify_order=verify_order,
-                    kernel_dimension=len(basis),
+                    kernel_dimension=dimension,
                     escalations=escalations,
                 )
     raise BoundExhausted(
@@ -373,7 +347,14 @@ def find_ade(
     )
 
 
-def _best_candidate(basis, monos, degree: int) -> DiffPoly:
+def search_stage(jet: Jet, monos, degree: int, order: int, center):
+    """One search stage: the kernel of the monomials of a jet with
+    polynomial coefficients of the given degree, solved from the series
+    through the given order.  Returns (candidate, rank, rows, kernel
+    dimension); the candidate is the normalized equation of the simplest
+    kernel vector (fewest terms, then lowest coefficient degree, then
+    text), or None when the columns have full rank."""
+    basis, rank, n_rows = _kernel(jet.monomials(monos, order), degree, center)
     best = None
     for vec in basis:
         terms = {}
@@ -385,4 +366,4 @@ def _best_candidate(basis, monos, degree: int) -> DiffPoly:
         key = (len(cand.terms), cand.coeff_degree, str(cand))
         if best is None or key < best[0]:
             best = (key, cand)
-    return best[1]
+    return (None if best is None else best[1]), rank, n_rows, len(basis)

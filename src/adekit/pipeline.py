@@ -26,8 +26,8 @@ from .discovery import (
     DiscoveryError,
     SearchOutcome,
     VerificationError,
-    _relation,
     find_ade,
+    search_stage,
 )
 from .chain_rewrite import support_monomials, transfer_support
 from .expr import Compose, DefinitionEnvironment, Expression, expand_series
@@ -191,7 +191,7 @@ def transfer_ade(
     composite, intermediate = f, p
     for qq in range(1, max_q + 1):
         if qq > 1:
-            intermediate = compose_ade(p, intermediate, f, composite, env, center, mode).ade
+            intermediate = _composite_search(p, intermediate, f, composite, env, center, mode).ade
             composite = Compose(f, composite)
         if qq < q:
             continue
@@ -202,27 +202,14 @@ def transfer_ade(
             if max_relation_degree is not None
             else intermediate.coeff_degree + 2
         )
-        certificate = None
         for deg in range(cap + 1):
-            n_solve = len(support) * (deg + 1) + SOLVE_MARGIN
-            series = g_jet.monomials(support, n_solve)
-            rel = _relation(series, deg, center)
-            if rel.found:
-                certificate = rel.certificate
+            unknowns = len(support) * (deg + 1)
+            candidate, rank, _, _ = search_stage(g_jet, support, deg, unknowns + SOLVE_MARGIN, center)
+            if candidate is not None:
                 break
-            escalations.append(
-                {
-                    "q": qq,
-                    "relation_degree": deg,
-                    "rank": rel.rank,
-                    "unknowns": rel.num_unknowns,
-                }
-            )
-        if certificate is None:
+            escalations.append({"q": qq, "relation_degree": deg, "rank": rank, "unknowns": unknowns})
+        if candidate is None:
             continue
-        candidate = normalize(
-            DiffPoly({m: c for m, c in zip(support, certificate) if not c.is_zero()})
-        )
         if not holds_on(candidate, g, env, center, verified_order, mode):
             raise VerificationError(
                 f"transferred candidate {candidate} failed verification at order {verified_order}"

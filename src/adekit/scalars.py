@@ -242,6 +242,18 @@ class Poly:
 
     def __init__(self, terms: dict | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+        for m in self.terms:
+            # arithmetic and division assume each variable once, in _rank order
+            if len(m) > 1 and not all(_rank(a) < _rank(b) for (a, _), (b, _) in zip(m, m[1:])):
+                raise ScalarError(f"monomial {mono_str(m)} is not in canonical variable order")
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "Poly":
+        # terms already canonical with nonzero coefficients: the arithmetic
+        # builds its results without the checks of __init__
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero() -> "Poly":
@@ -285,9 +297,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def degree_in(self, var: str) -> int:
         d = 0
         for m in self.terms:
@@ -315,17 +324,13 @@ class Poly:
                 d[m] = s
             else:
                 d.pop(m, None)
-        out = Poly()
-        out.terms = d
-        return out
+        return Poly._raw(d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = Poly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Poly._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         d: dict = {}
@@ -339,17 +344,13 @@ class Poly:
                     d[m] = s
                 else:
                     d.pop(m, None)
-        out = Poly()
-        out.terms = d
-        return out
+        return Poly._raw(d)
 
     def scale(self, c) -> "Poly":
         c = GaussianRational.coerce(c)
         if not c:
             return Poly()
-        out = Poly()
-        out.terms = {m: k * c for m, k in self.terms.items()}
-        return out
+        return Poly._raw({m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -448,9 +449,8 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         qmono = tuple(sorted(qm.items(), key=lambda t: _rank(t[0])))
         qc = cr * cb_inv
         q[qmono] = q.get(qmono, GR_ZERO) + qc
-        t = Poly({qmono: qc})
-        rem = rem - t * b
-    return Poly(q)
+        rem = rem - Poly._raw({qmono: qc}) * b
+    return Poly._raw({m: c for m, c in q.items() if c})
 
 
 def _univ(p: Poly, var: str) -> dict:
@@ -628,11 +628,6 @@ class Frac:
     def is_constant(self) -> bool:
         return self.num.is_const() and self.den.is_one()
 
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant():
-            raise ScalarError("fraction is not a constant")
-        return self.num.const_value()
-
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
 
@@ -701,7 +696,10 @@ FRAC_ONE = Frac(Poly.one())
 
 
 def clear_denominators(fracs) -> list:
-    """The fractions times the lcm of their denominators, as polynomials."""
+    """The fractions times the lcm of their denominators, and then times the
+    lcm of the rational denominators inside the coefficients: polynomials
+    with Gaussian-integer coefficients, so that products of them multiply
+    integers rather than fractions."""
     fracs = list(fracs)
     lcm = Poly.one()
     for x in fracs:
@@ -713,20 +711,30 @@ def clear_denominators(fracs) -> list:
         if not y.den.is_one():
             raise ScalarError("denominator survived clearing")
         out.append(y.num)
+    denoms = 1
+    for q in out:
+        for g in q.terms.values():
+            denoms = math.lcm(denoms, g.re.denominator, g.im.denominator)
+    if denoms != 1:
+        grow = GaussianRational(denoms)
+        out = [q.scale(grow) for q in out]
     return out
 
 
-def primitive_numerators(fracs) -> list:
-    """Cleared numerators with their common polynomial content divided out,
-    so they are coprime up to a unit scalar; zero entries stay zero."""
+def unit_lead_numerators(fracs, lead: int) -> list:
+    """The normal form of a list of fractions up to a common factor: cleared
+    numerators with their polynomial content divided out, scaled so that
+    the entry at position lead, which must be nonzero, has leading scalar
+    +1; zero entries stay zero."""
     nums = clear_denominators(fracs)
     content = _content(nums)
-    if content.is_one():
-        return nums
-    return [poly_exact_div(q, content) for q in nums]
+    if not content.is_one():
+        nums = [poly_exact_div(q, content) for q in nums]
+    inv = nums[lead].leading()[1].inverse()
+    return [q.scale(inv) for q in nums]
 
 
-def _has_toplevel(txt: str, ops: str) -> bool:
+def has_toplevel(txt: str, ops: str) -> bool:
     """Whether an operator of ops occurs outside parentheses after the
     first character, which may be a sign."""
     depth = 0
@@ -747,10 +755,10 @@ def frac_str(f: Frac) -> str:
     d = poly_str(f.den)
     # numerator: sums must bind before the division; single-term products
     # are safe under left association
-    if _has_toplevel(n, "+-"):
+    if has_toplevel(n, "+-"):
         n = f"({n})"
     # denominator: anything beyond a single power must be grouped
-    if _has_toplevel(d, "+-*/") or d.startswith("-"):
+    if has_toplevel(d, "+-*/") or d.startswith("-"):
         d = f"({d})"
     return f"{n}/{d}"
 

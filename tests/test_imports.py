@@ -63,6 +63,22 @@ def test_no_unused_imports():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
+def test_no_private_imports_across_modules():
+    # a name with a leading underscore belongs to its module; a routine two
+    # modules need is public
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "adekit":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{path.stem}: {node.module}.{alias.name}")
+    assert not private, "private names imported from another module: " + ", ".join(private)
+
 
 def _calls_by_function(tree):
     """(enclosing function name or None, call node) for every call."""

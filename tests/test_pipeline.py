@@ -210,14 +210,14 @@ def test_transfer_builds_each_iterate_from_the_last(monkeypatch):
     p = parse_ade("y1 - y0")
     calls = []
 
-    def counting_compose(a, b, f, g, env, center=0, mode="exact"):
+    def counting_compose(a, b, f, g, env, center, mode):
         calls.append((ade_text(a), ade_text(b), str(f), str(g)))
         return SearchOutcome(
             ade=p, found_at=(1, 1, 0), num_unknowns=0, num_equations=0,
             solve_order=0, verify_order=0, kernel_dimension=0, escalations=[],
         )
 
-    monkeypatch.setattr(pipeline, "compose_ade", counting_compose)
+    monkeypatch.setattr(pipeline, "_composite_search", counting_compose)
     rep = transfer_ade(parse("exp(z)"), p, parse("exp(exp(z))"), EMPTY_ENV, max_q=3)
     assert calls == [
         ("y1 - y0", "y1 - y0", "exp(z)", "exp(z)"),
@@ -230,6 +230,25 @@ def test_transfer_builds_each_iterate_from_the_last(monkeypatch):
         {"q": q, "relation_degree": d, "rank": 2 * d + 2, "unknowns": 2 * d + 2}
         for q in (1, 2, 3)
         for d in (0, 1, 2)
+    ]
+
+
+def test_transfer_checks_its_inputs_once(monkeypatch):
+    # p is checked on f once, and the answer once on g: the iterates'
+    # equations come from verified searches and are not checked again
+    calls = []
+    real = pipeline.holds_on
+
+    def counting_holds_on(p, subject, *args):
+        calls.append((ade_text(p), str(subject)))
+        return real(p, subject, *args)
+
+    monkeypatch.setattr(pipeline, "holds_on", counting_holds_on)
+    rep = transfer_ade(parse("exp(z)"), parse_ade("y1 - y0"), parse("exp(exp(z))"), EMPTY_ENV)
+    assert rep.found and rep.q == 2
+    assert calls == [
+        ("y1 - y0", "exp(z)"),
+        ("y0*y2 - y1^2 - y0*y1", "exp(exp(z))"),
     ]
 
 

@@ -1,15 +1,19 @@
 """Exact scalar tower: Gaussian rationals, polynomials, fractions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from adekit import scalars
+from adekit.diffpoly import DiffPoly, mono_of, mono_rank, normalize
 from adekit.scalars import (
     Frac,
     GaussianRational,
     Poly,
     ScalarError,
+    clear_denominators,
     exp_of_scalar,
     frac_str,
     frac_value,
@@ -19,6 +23,7 @@ from adekit.scalars import (
     poly_lcm,
     poly_str,
     sin_of_scalar,
+    unit_lead_numerators,
     PI,
 )
 
@@ -333,8 +338,6 @@ def test_operations_never_write_to_their_operands():
 
 
 def test_fractions_over_one_call_no_inverse_and_no_gcd(monkeypatch):
-    from adekit import scalars
-
     calls = {"inverse": 0, "poly_gcd": 0}
     inverse, gcd = GaussianRational.inverse, scalars.poly_gcd
 
@@ -361,3 +364,112 @@ def test_fractions_over_one_call_no_inverse_and_no_gcd(monkeypatch):
     Frac(p, Poly.const(2))
     Frac(p, q)
     assert calls["inverse"] >= 1 and calls["poly_gcd"] >= 1
+
+
+def test_poly_rejects_a_monomial_out_of_canonical_order():
+    # z first, then constants by name: arithmetic and exact division rely
+    # on it, and division by such a monomial used to loop forever
+    with pytest.raises(ScalarError, match="canonical variable order"):
+        Poly({(("pi", 1), ("z", 1)): GaussianRational(1)})
+    with pytest.raises(ScalarError, match="canonical variable order"):
+        Poly({(("z", 1), ("z", 2)): GaussianRational(1)})
+    p = Poly({(("z", 1), ("pi", 1)): GaussianRational(1)})
+    assert p == Poly.var("pi") * Poly.var("z")
+    assert poly_exact_div(p + Poly.one(), p + Poly.one()) == Poly.one()
+
+
+# ---------------------------------------------------------------------------
+# The normal form of a list of fractions, against the three routines it
+# replaced: a row cleared for elimination, the primitive numerators, and
+# their scaling to a unit lead in DiffPoly normalization
+
+
+def _reference_clear_denominators(fracs):
+    fracs = list(fracs)
+    lcm = Poly.one()
+    for x in fracs:
+        lcm = poly_lcm(lcm, x.den)
+    return [(x * Frac(lcm)).num for x in fracs]
+
+
+def _reference_clear_row(row):
+    out = _reference_clear_denominators(row)
+    denoms = 1
+    for q in out:
+        for g in q.terms.values():
+            denoms = math.lcm(denoms, g.re.denominator, g.im.denominator)
+    if denoms != 1:
+        grow = GaussianRational(denoms)
+        out = [q.scale(grow) for q in out]
+    return out
+
+
+def _reference_primitive_numerators(fracs):
+    nums = _reference_clear_denominators(fracs)
+    content = scalars._content(nums)
+    if content.is_one():
+        return nums
+    return [poly_exact_div(q, content) for q in nums]
+
+
+def _reference_unit_lead(coeffs, lead):
+    nums = _reference_primitive_numerators(coeffs)
+    inv = Frac.of(nums[lead].leading()[1].inverse())
+    return [Frac(q) * inv for q in nums]
+
+
+def _reference_normalize(p):
+    if p.is_zero():
+        return p
+    monos = list(p.terms)
+    lead = monos.index(max(monos, key=mono_rank))
+    return DiffPoly(dict(zip(monos, _reference_unit_lead(p.terms.values(), lead))))
+
+
+def _rand_frac_zpi(rng):
+    # small entries: larger rational systems over z and pi reach the
+    # coefficient swell of the multivariate gcd
+    if rng.random() < 0.15:
+        return Frac(Poly.zero())
+    num = rand_poly(rng, vars=("z", "pi"), max_deg=2, max_terms=2)
+    return Frac(num, _rand_den(rng, ("z", "pi")))
+
+
+def test_clear_denominators_matches_the_row_clearing_reference():
+    rng = random.Random(1401)
+    for _ in range(150):
+        row = [_rand_frac_zpi(rng) for _ in range(rng.randint(1, 4))]
+        got, want = clear_denominators(row), _reference_clear_row(row)
+        assert [q.terms for q in got] == [q.terms for q in want], row
+        assert all(g.re.denominator == g.im.denominator == 1 for q in got for g in q.terms.values())
+
+
+def test_unit_lead_numerators_match_the_reference():
+    rng = random.Random(1402)
+    checked = 0
+    for _ in range(150):
+        fracs = [_rand_frac_zpi(rng) for _ in range(rng.randint(1, 4))]
+        nonzero = [k for k, x in enumerate(fracs) if x]
+        if not nonzero:
+            continue
+        lead = rng.choice(nonzero)
+        got = [Frac(q) for q in unit_lead_numerators(fracs, lead)]
+        want = _reference_unit_lead(fracs, lead)
+        assert [(x.num.terms, x.den.terms) for x in got] == [(x.num.terms, x.den.terms) for x in want]
+        assert [frac_str(x) for x in got] == [frac_str(x) for x in want]
+        assert got[lead].num.leading()[1] == GaussianRational(1)
+        checked += 1
+    assert checked > 100
+
+
+def test_normalize_matches_the_reference():
+    rng = random.Random(1403)
+    for _ in range(100):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = mono_of([rng.randint(0, 2) for _ in range(rng.randint(0, 3))])
+            terms[mono] = _rand_frac_zpi(rng)
+        p = DiffPoly(terms)
+        got, want = normalize(p), _reference_normalize(p)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert str(got) == str(want)
