@@ -149,20 +149,16 @@ def transfer_residual(support: dict, bound: DefinitionEnvironment, center, order
 
 
 def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: int, mode):
-    """(the residual series, the series of its terms in summing order)."""
-    if not support:
-        return expand_series(ZERO, center, order, mode=mode, env=bound), []
+    """Jet.residual of the support on the stack G_0..G_depth."""
     # G_j = g^(j) at f(z): the composition expands the reference g^(j)
     # with z bound to the series of f, like any other composition
-    monos = list(support)
-    depth = max(map(mono_order, monos))
+    depth = max(map(mono_order, support), default=0)
     gs = [
         expand_series(Compose(FuncRef("g", j), FuncRef("f")), center, order, mode=mode, env=bound)
         for j in range(depth + 1)
     ]
-    coeffs = (expand_series(support[m], center, order, mode=mode, env=bound) for m in monos)
-    terms = Jet(gs).terms(monos, coeffs, order)
-    return sum(terms[1:], terms[0]), terms
+    coeffs = {m: expand_series(c, center, order, mode=mode, env=bound) for m, c in support.items()}
+    return Jet(gs).residual(coeffs, order)
 
 
 def verify_transfer(

@@ -116,12 +116,17 @@ def _cmd_find_ade(args, env) -> int:
     return _emit_outcome(out, args.format)
 
 
+def _ades(args, count: int):
+    """The --ade equations of a command that takes count of them."""
+    if len(args.ade) != count:
+        words = "one --ade equation" if count == 1 else "two --ade equations"
+        raise DiffPolyError(f"{args.command} needs exactly {words}")
+    return [parse_ade(text) for text in args.ade]
+
+
 def _cmd_compose_ade(args, env) -> int:
-    if len(args.ade) != 2:
-        raise DiffPolyError("compose-ade needs exactly two --ade equations")
     out = compose_ade(
-        parse_ade(args.ade[0]),
-        parse_ade(args.ade[1]),
+        *_ades(args, 2),
         *parse_pair(args.subject, env),
         env,
         center=_center_value(args.center, args.mode),
@@ -134,7 +139,7 @@ def _cmd_iterate_ade(args, env) -> int:
     subject = parse(args.subject, env)
     out = iterate_ade(
         subject,
-        parse_ade(args.ade[0]),
+        *_ades(args, 1),
         args.count,
         env,
         center=_center_value(args.center, args.mode),
@@ -145,7 +150,7 @@ def _cmd_iterate_ade(args, env) -> int:
 
 def _cmd_rewrite_chain(args, env) -> int:
     if args.ade:
-        support = transfer_support(parse_ade(args.ade[0]))
+        support = transfer_support(*_ades(args, 1))
         terms = {diff_mono_text(m): to_text(support[m]) for m in sorted(support, key=mono_rank)}
         if args.format == "json":
             _print_json({"support_J": support_text(support), "coefficients": terms})
@@ -183,7 +188,7 @@ def _cmd_transfer_ade(args, env) -> int:
     f, g = parse_pair(args.subject, env)
     rep = transfer_ade(
         f,
-        parse_ade(args.ade[0]),
+        *_ades(args, 1),
         g,
         env,
         q=args.q,
@@ -221,75 +226,91 @@ def _cmd_transfer_ade(args, env) -> int:
 
 
 def _radii_of(args):
-    if args.radii:
-        return [float(eval_numeric(parse(t.strip()), 0j).real) for t in args.radii.split(",")]
-    return [args.radius]
+    if not args.radii:
+        return [args.radius]
+    radii = []
+    for text in args.radii.split(","):
+        value = eval_numeric(parse(text.strip()), 0j)
+        if value.imag != 0:
+            raise GrowthError(f"radius {text.strip()!r} is not real")
+        radii.append(value.real)
+    return radii
 
 
-def _cmd_growth(args, env) -> int:
-    action = args.growth_command
-    if action in ("max-modulus", "characteristic"):
-        measure = max_modulus if action == "max-modulus" else characteristic
-        label = action.replace("-", "_")
-        for r in _radii_of(args):
-            value = measure(parse(args.subject, env), env, r, args.samples)
-            print(f"{label},{r!r},{value!r},{args.samples}")
-        return EXIT_OK
-    if action == "baker-scan":
-        rep = baker_scan(
-            *parse_pair(args.subject, env),
-            env,
-            args.max_p,
-            _radii_of(args),
-            samples=args.samples,
-        )
-        if args.format == "json":
-            _print_json({"p": rep.p, "tol": rep.tol, "rows": [vars(row) for row in rep.rows]})
-        else:
-            for row in rep.rows:
-                print(
-                    f"baker,{row.p},{row.r!r},{row.log_iterate!r},{row.log_partner!r},"
-                    f"{row.margin!r},{str(row.strict).lower()}"
-                )
-            print(f"baker_result,{rep.p if rep.p is not None else 'none'}")
-        return EXIT_OK if rep.p is not None else EXIT_NEGATIVE
-    if action == "inequalities":
-        rows = growth_suite(
-            *parse_pair(args.subject, env),
-            env,
-            args.radius,
-            c=args.polya_c,
-            samples=args.samples,
-        )
-        if args.format == "json":
-            _print_json({"rows": [vars(row) for row in rows]})
-        else:
-            for row in rows:
-                print(
-                    f"inequality,{row.name},{row.r!r},{row.lhs!r},{row.rhs!r},"
-                    f"{str(row.holds).lower()}"
-                )
-        return EXIT_OK
-    raise GrowthError(f"unknown growth command {action!r}")
+def _print_measure(args, env, measure, label: str) -> int:
+    for r in _radii_of(args):
+        value = measure(parse(args.subject, env), env, r, args.samples)
+        print(f"{label},{r!r},{value!r},{args.samples}")
+    return EXIT_OK
+
+
+def _cmd_max_modulus(args, env) -> int:
+    return _print_measure(args, env, max_modulus, "max_modulus")
+
+
+def _cmd_characteristic(args, env) -> int:
+    return _print_measure(args, env, characteristic, "characteristic")
+
+
+def _cmd_baker_scan(args, env) -> int:
+    rep = baker_scan(
+        *parse_pair(args.subject, env),
+        env,
+        args.max_p,
+        _radii_of(args),
+        samples=args.samples,
+    )
+    if args.format == "json":
+        _print_json({"p": rep.p, "tol": rep.tol, "rows": [vars(row) for row in rep.rows]})
+    else:
+        for row in rep.rows:
+            print(
+                f"baker,{row.p},{row.r!r},{row.log_iterate!r},{row.log_partner!r},"
+                f"{row.margin!r},{str(row.strict).lower()}"
+            )
+        print(f"baker_result,{rep.p if rep.p is not None else 'none'}")
+    return EXIT_OK if rep.p is not None else EXIT_NEGATIVE
+
+
+def _cmd_inequalities(args, env) -> int:
+    rows = growth_suite(
+        *parse_pair(args.subject, env),
+        env,
+        args.radius,
+        c=args.polya_c,
+        samples=args.samples,
+    )
+    if args.format == "json":
+        _print_json({"rows": [vars(row) for row in rows]})
+    else:
+        for row in rows:
+            print(
+                f"inequality,{row.name},{row.r!r},{row.lhs!r},{row.rhs!r},"
+                f"{str(row.holds).lower()}"
+            )
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def _add_common(sub, mode=True, center=True):
-    sub.add_argument(
-        "--def",
-        dest="defs",
-        action="append",
-        metavar="NAME=EXPR",
-        help="define a named function; repeatable, later names may use earlier ones",
-    )
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+def _add_common(sub, *shared):
+    """Add --timing and each named option of "def", "format", "mode", "center"."""
+    if "def" in shared:
+        sub.add_argument(
+            "--def",
+            dest="defs",
+            action="append",
+            metavar="NAME=EXPR",
+            help="define a named function; repeatable, later names may use earlier ones",
+        )
+    if "format" in shared:
+        sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--timing", action="store_true", help="report wall time on stderr")
-    if mode:
+    if "mode" in shared:
         sub.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    if center:
+    if "center" in shared:
         sub.add_argument("--center", default="0", help="expansion center (scalar expression)")
 
 
@@ -303,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("series", help="Taylor coefficients of an expression")
     p.add_argument("--subject", required=True)
     p.add_argument("--order", type=int, default=8)
-    _add_common(p)
+    _add_common(p, "def", "mode", "center")
     p.set_defaults(func=_cmd_series)
 
     p = subs.add_parser("diff", help="syntactic derivative of an expression")
     p.add_argument("--subject", required=True)
     p.add_argument("--count", type=int, default=1)
-    _add_common(p, mode=False, center=False)
+    _add_common(p, "def")
     p.set_defaults(func=_cmd_diff)
 
     p = subs.add_parser("find-ade", help="search for a differential equation")
@@ -318,32 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--max-coeff-degree", type=int, default=4)
-    _add_common(p)
+    _add_common(p, "def", "format", "mode", "center")
     p.set_defaults(func=_cmd_find_ade)
 
     p = subs.add_parser("compose-ade", help="equation for f(g) from equations of f and g")
     p.add_argument("--subject", required=True, metavar="F,G")
     p.add_argument("--ade", action="append", required=True, help="give twice: equation of f, equation of g")
-    _add_common(p)
+    _add_common(p, "def", "format", "mode", "center")
     p.set_defaults(func=_cmd_compose_ade)
 
     p = subs.add_parser("iterate-ade", help="equation for the n-fold self-composition")
     p.add_argument("--subject", required=True)
     p.add_argument("--ade", action="append", required=True)
     p.add_argument("--count", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "def", "format", "mode", "center")
     p.set_defaults(func=_cmd_iterate_ade)
 
     p = subs.add_parser("rewrite-chain", help="derivative transfer tables along a permutable partner")
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--ade", action="append", help="rewrite this equation instead of printing one table")
-    _add_common(p, mode=False, center=False)
+    _add_common(p, "format")
     p.set_defaults(func=_cmd_rewrite_chain)
 
     p = subs.add_parser("check-permutable", help="compare f(g) and g(f) as series")
     p.add_argument("--subject", required=True, metavar="F,G")
     p.add_argument("--order", type=int, default=16)
-    _add_common(p)
+    _add_common(p, "def", "format", "mode", "center")
     p.set_defaults(func=_cmd_check_permutable)
 
     p = subs.add_parser("transfer-ade", help="carry an equation to a permutable partner")
@@ -353,20 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-q", type=int, default=3)
     p.add_argument("--verified-order", type=int, default=30)
     p.add_argument("--max-relation-degree", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "def", "format", "mode", "center")
     p.set_defaults(func=_cmd_transfer_ade)
 
     p = subs.add_parser("growth", help="numeric growth measurements")
     gsubs = p.add_subparsers(dest="growth_command", required=True)
 
-    for name in ("max-modulus", "characteristic"):
+    for name, handler in (("max-modulus", _cmd_max_modulus), ("characteristic", _cmd_characteristic)):
         gp = gsubs.add_parser(name)
         gp.add_argument("--subject", required=True)
         gp.add_argument("--radius", type=float, default=1.0)
         gp.add_argument("--radii", help="comma-separated radii; overrides --radius")
         gp.add_argument("--samples", type=int, default=4096 if name == "characteristic" else 1024)
-        _add_common(gp, mode=False, center=False)
-        gp.set_defaults(func=_cmd_growth)
+        _add_common(gp, "def")
+        gp.set_defaults(func=handler)
 
     gp = gsubs.add_parser("baker-scan")
     gp.add_argument("--subject", required=True, metavar="F,G")
@@ -374,16 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--radius", type=float, default=2.0)
     gp.add_argument("--radii", help="comma-separated radii; overrides --radius")
     gp.add_argument("--samples", type=int, default=256)
-    _add_common(gp, mode=False, center=False)
-    gp.set_defaults(func=_cmd_growth)
+    _add_common(gp, "def", "format")
+    gp.set_defaults(func=_cmd_baker_scan)
 
     gp = gsubs.add_parser("inequalities")
     gp.add_argument("--subject", required=True, metavar="F,G")
     gp.add_argument("--radius", type=float, default=4.0)
     gp.add_argument("--polya-c", type=float, default=0.25)
     gp.add_argument("--samples", type=int, default=1024)
-    _add_common(gp, mode=False, center=False)
-    gp.set_defaults(func=_cmd_growth)
+    _add_common(gp, "def", "format")
+    gp.set_defaults(func=_cmd_inequalities)
 
     return parser
 
@@ -393,7 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        env = _build_env(args.defs)
+        env = _build_env(getattr(args, "defs", None))
         code = args.func(args, env)
     except BoundExhausted as e:
         print(f"not found: {e}", file=sys.stderr)

@@ -90,10 +90,6 @@ class DiffPoly:
         self.terms = clean
 
     @staticmethod
-    def zero() -> "DiffPoly":
-        return DiffPoly({})
-
-    @staticmethod
     def constant(c) -> "DiffPoly":
         return DiffPoly({(): c})
 
@@ -153,10 +149,7 @@ class DiffPoly:
         return DiffPoly(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Frac.of(0)) - c
-        return DiffPoly(out)
+        return self + (-other)
 
     def __neg__(self):
         return DiffPoly({m: -c for m, c in self.terms.items()})
@@ -340,21 +333,19 @@ class Jet:
                 self._monos[m] = self._ys[k] ** m[k]
         return self._monos[m]
 
-    def terms(self, monos, coeffs, order: int):
-        """The series c * y0^e0 * y1^e1 * ... of each monomial and its
-        coefficient series c through the given order: the coefficient
-        first, then each power in turn, taken once from the stack
-        truncated to that order.  The coefficients are read after the
-        stack is built."""
-        monos = list(monos)
-        powers = Jet(self.stack(max(map(mono_order, monos), default=0), order))
+    def residual(self, terms, order: int):
+        """(the sum through the given order, the series of each term) of a
+        map from monomial to coefficient series: each term is c * y0^e0 *
+        y1^e1 * ..., the coefficient first, then each power in turn, taken
+        once from the stack truncated to that order."""
+        powers = Jet(self.stack(max(map(mono_order, terms), default=0), order))
         out = []
-        for m, s in zip(monos, coeffs):
+        for m, s in terms.items():
             for k, e in enumerate(m):
                 if e:
                     s = s * powers._monomial((0,) * k + (e,))
             out.append(s)
-        return out
+        return sum(out, PowerSeries.zero(order, powers._ys[0].domain)), out
 
 
 def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> PowerSeries:
@@ -363,11 +354,9 @@ def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "
 
 
 def _residual(p: DiffPoly, subject, env, center, order: int, mode):
-    """(P[subject] through order, the series of its terms in summing order),
-    on an expansion of the subject of its own."""
-    coeffs = (frac_to_series(c, center, order, mode) for c in p.terms.values())
-    terms = Jet.expanding(subject, env, center, mode).terms(p.terms, coeffs, order)
-    return sum(terms, PowerSeries.zero(order, mode)), terms
+    """Jet.residual of P on an expansion of the subject of its own."""
+    coeffs = {m: frac_to_series(c, center, order, mode) for m, c in p.terms.items()}
+    return Jet.expanding(subject, env, center, mode).residual(coeffs, order)
 
 
 def holds_on(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> bool:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
-    FRAC_ONE,
     FRAC_ZERO,
     Frac,
     GaussianRational,
@@ -24,7 +23,7 @@ from .scalars import (
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
     unit_lead_numerators,
 )
-from .series import NUMERIC
+from .series import EXACT, NUMERIC
 from .diffpoly import (
     DiffPoly,
     Jet,
@@ -93,19 +92,7 @@ def exact_nullspace(rows):
         r += 1
         if r == m:
             break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in (c for c in range(n) if c not in pivot_cols):
-        x = [FRAC_ZERO] * n
-        x[free] = FRAC_ONE
-        for ri, ci in reversed(pivots):
-            acc = FRAC_ZERO
-            for j in range(ci + 1, n):
-                if not x[j].is_zero() and not mat[ri][j].is_zero():
-                    acc = acc + Frac(mat[ri][j]) * x[j]
-            x[ci] = -acc / Frac(mat[ri][ci])
-        basis.append(x)
-    return basis, len(pivots)
+    return _back_substitute(mat, pivots, EXACT, Frac), len(pivots)
 
 
 def numeric_nullspace(rows):
@@ -115,10 +102,7 @@ def numeric_nullspace(rows):
         return [], 0
     mat = [[complex(x) for x in row] for row in rows]
     m, n = len(mat), len(mat[0])
-    scale = max((abs(x) for row in mat for x in row), default=0.0)
-    if scale == 0.0:
-        return [[1.0 if j == k else 0.0 for j in range(n)] for k in range(n)], 0
-    cutoff = NUMERIC.tolerance * scale
+    cutoff = NUMERIC.tolerance * max((abs(x) for row in mat for x in row), default=0.0)
     pivots = []
     r = 0
     for col in range(n):
@@ -138,18 +122,28 @@ def numeric_nullspace(rows):
         r += 1
         if r == m:
             break
+    return _back_substitute(mat, pivots, NUMERIC, complex), len(pivots)
+
+
+def _back_substitute(mat, pivots, dom, lift):
+    """One kernel vector per free column of an echelon matrix over the
+    domain, lifting each entry it reads into the domain.  Zero products
+    are skipped: the exact sum is unchanged, and a numeric sum starts at
+    +0j, which adding a signed zero leaves as it is."""
+    n = len(mat[0])
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in (c for c in range(n) if c not in pivot_cols):
-        x = [0j] * n
-        x[free] = 1.0 + 0j
+        x = [dom.zero] * n
+        x[free] = dom.one
         for ri, ci in reversed(pivots):
-            acc = 0j
+            acc = dom.zero
             for j in range(ci + 1, n):
-                acc += mat[ri][j] * x[j]
-            x[ci] = -acc / mat[ri][ci]
+                if not dom.is_zero(x[j]) and not dom.is_zero(mat[ri][j]):
+                    acc = acc + lift(mat[ri][j]) * x[j]
+            x[ci] = -acc / lift(mat[ri][ci])
         basis.append(x)
-    return basis, len(pivots)
+    return basis
 
 
 def snap_scalar(x: complex) -> Frac:
@@ -184,12 +178,17 @@ def _kernel(series, degree: int, center):
     return basis, rank, len(rows)
 
 
-def _coefficient_frac(entries, degree: int) -> Frac:
+def _coefficients(vec, count: int, degree: int):
+    """The count polynomials of a kernel vector of _kernel: the k-th is
+    the sum of vec[k*(degree+1) + j] * z^j over j = 0..degree."""
     z = Frac.var("z")
-    total = FRAC_ZERO
-    for j in range(degree + 1):
-        total = total + entries[j] * z**j
-    return total
+    out = []
+    for k in range(count):
+        total = FRAC_ZERO
+        for j in range(degree + 1):
+            total = total + vec[k * (degree + 1) + j] * z**j
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +227,24 @@ def relation_search(
     n_solve = len(funcs) * (degree + 1) + SOLVE_MARGIN
     series = [expand_series(f, center, n_solve, mode=mode, env=env) for f in funcs]
     basis, rank, n_rows = _kernel(series, degree, center)
-    best = None
-    for vec in basis:
-        coeffs = [
-            _coefficient_frac(vec[k * (degree + 1) : (k + 1) * (degree + 1)], degree)
-            for k in range(len(funcs))
-        ]
+
+    def certificate(vec):
+        coeffs = _coefficients(vec, len(funcs), degree)
         nonzero = [k for k, c in enumerate(coeffs) if not c.is_zero()]
         if nonzero:
             # the first nonzero entry's leading scalar is +1
             coeffs = [Frac(q) for q in unit_lead_numerators(coeffs, nonzero[0])]
-        key = (
+        return coeffs
+
+    def simplicity(coeffs):
+        return (
             sum(1 for c in coeffs if not c.is_zero()),
             sum(c.num.degree_in("z") for c in coeffs),
             tuple(str(c.num) for c in coeffs),
         )
-        if best is None or key < best[0]:
-            best = (key, coeffs)
-    certificate = None if best is None else best[1]
-    return RelationResult(certificate, degree, rank, len(funcs) * (degree + 1), n_rows, series[0].order)
+
+    best = min(map(certificate, basis), key=simplicity, default=None)
+    return RelationResult(best, degree, rank, len(funcs) * (degree + 1), n_rows, series[0].order)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +306,8 @@ def find_ade(
     jet = Jet.expanding(subject, env, center, mode)
     for w in range(min_weight, max_weight + 1):
         for d in range(1, max_degree + 1):
+            monos = candidate_monomials(w, d)
             for c in range(0, max_coeff_degree + 1):
-                monos = candidate_monomials(w, d)
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
                 candidate, rank, n_rows, dimension = search_stage(jet, monos, c, n_solve, center)
@@ -355,15 +353,9 @@ def search_stage(jet: Jet, monos, degree: int, order: int, center):
     kernel vector (fewest terms, then lowest coefficient degree, then
     text), or None when the columns have full rank."""
     basis, rank, n_rows = _kernel(jet.monomials(monos, order), degree, center)
-    best = None
-    for vec in basis:
-        terms = {}
-        for idx, m in enumerate(monos):
-            coeff = _coefficient_frac(vec[idx * (degree + 1) : (idx + 1) * (degree + 1)], degree)
-            if not coeff.is_zero():
-                terms[m] = coeff
-        cand = normalize(DiffPoly(terms))
-        key = (len(cand.terms), cand.coeff_degree, str(cand))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return (None if best is None else best[1]), rank, n_rows, len(basis)
+
+    def equation(vec):
+        return normalize(DiffPoly(dict(zip(monos, _coefficients(vec, len(monos), degree)))))
+
+    best = min(map(equation, basis), key=lambda p: (len(p.terms), p.coeff_degree, str(p)), default=None)
+    return best, rank, n_rows, len(basis)

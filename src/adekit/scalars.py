@@ -467,7 +467,8 @@ def _univ(p: Poly, var: str) -> dict:
         rest_m = tuple(rest)
         slot = out.setdefault(e, {})
         slot[rest_m] = slot.get(rest_m, GR_ZERO) + c
-    return {e: Poly(d) for e, d in out.items() if Poly(d)}
+    polys = ((e, Poly(d)) for e, d in out.items())
+    return {e: p for e, p in polys if p}
 
 
 def _from_univ(d: dict, var: str) -> Poly:

@@ -81,7 +81,6 @@ class ExactDomain(Domain):
     singular = "series with zero constant term"
     center = staticmethod(Frac.of)
     literal = staticmethod(Frac.of)
-    integer = staticmethod(Frac.of)
     exp = staticmethod(exp_of_scalar)
     sin = staticmethod(sin_of_scalar)
     cos = staticmethod(cos_of_scalar)
@@ -135,7 +134,6 @@ class NumericDomain(Domain):
     singular = "numerically singular constant term"
     center = staticmethod(complex)
     literal = staticmethod(GaussianRational.to_complex)
-    integer = staticmethod(complex)
     exp = staticmethod(cmath.exp)
     sin = staticmethod(cmath.sin)
     cos = staticmethod(cmath.cos)
@@ -339,8 +337,7 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        integer = self.domain.integer
-        return PowerSeries(self.domain, [self.coeffs[k] * integer(k) for k in range(1, self.order + 1)])
+        return PowerSeries(self.domain, [self.coeffs[k] * k for k in range(1, self.order + 1)])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Taylor coefficients of self(inner) by Horner's rule; inner must
@@ -393,7 +390,7 @@ def series_exp(a: PowerSeries) -> PowerSeries:
         s = dom.zero
         for j in range(1, k + 1):
             s = s + a.coeffs[j] * j * out[k - j]
-        out.append(s * (dom.one / dom.integer(k)))
+        out.append(s * (dom.one / k))
     return PowerSeries(dom, out)
 
 
@@ -411,7 +408,7 @@ def series_sin_cos(a: PowerSeries) -> tuple:
         for j in range(1, k + 1):
             accs = accs + a.coeffs[j] * j * c[k - j]
             accc = accc + a.coeffs[j] * j * s[k - j]
-        factor = dom.one / dom.integer(k)
+        factor = dom.one / k
         s.append(accs * factor)
         c.append(-accc * factor)
     return PowerSeries(dom, s), PowerSeries(dom, c)

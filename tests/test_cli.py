@@ -1,13 +1,17 @@
 """Command line surface: exit codes, stream discipline, payload shapes,
 and byte-for-byte determinism of reruns."""
 
+import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from adekit.cli import main
+from adekit import cli, discovery
+from adekit.cli import build_parser, main
 from adekit.expr import eval_numeric, parse
 
 PAIR_DEFS = ["--def", "f=z+exp(z)", "--def", "g=z+2*pi*i+exp(z)"]
@@ -97,6 +101,13 @@ def test_rewrite_chain_equation_support(capsys):
     assert set(payload["coefficients"]) == {"1", "y1", "y2"}
 
 
+def test_rewrite_chain_table_json(capsys):
+    rc, out, _ = run(capsys, "rewrite-chain", "--order", "2", "--format", "json")
+    assert rc == 0
+    terms = {"y1": "(f''*g'-f'*g'')/g'^2/g'", "y2": "f'/g'*f'/g'"}
+    assert out == json.dumps({"order": 2, "terms": terms}) + "\n"
+
+
 def test_check_permutable_accepts_the_translate_pair(capsys):
     rc, out, _ = run(
         capsys, "check-permutable", "--subject", "f(z),g(z)", *PAIR_DEFS,
@@ -146,6 +157,32 @@ def test_transfer_json_reruns_are_byte_identical(capsys):
     assert payload["support_J"] == ["1", "y1", "y2"]
     assert payload["output_ade"] == "y2 - y1 + 1"
     assert payload["wall_time_ms"] == 0
+
+
+def test_transfer_ade_text_found(capsys):
+    rc, out, err = run(
+        capsys, "transfer-ade", "--subject", "f(z),g(z)", *PAIR_DEFS, "--ade", "y1 - y0 + z-1"
+    )
+    assert rc == 0
+    assert out == "y1 - y0 + z+2*i*pi-1\n"
+    assert err == "q=1 support=[1, y0, y1] verified to order 30\n"
+
+
+def test_transfer_ade_text_exhausted_exits_1(capsys):
+    rc, out, err = run(
+        capsys, "transfer-ade", "--subject", "exp(z),exp(exp(z))", "--ade", "y1 - y0", "--max-q", "1"
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == "no relation found up to q=1; support=[y0, y1]\n"
+
+
+def test_unverified_candidate_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(discovery, "holds_on", lambda *args: False)
+    rc, out, err = run(capsys, "find-ade", "--subject", "exp(z)")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("verification failed: candidate y1 - y0 from stage (w=1, d=1, c=0)")
 
 
 def test_compose_ade_tower(capsys):
@@ -330,6 +367,72 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:"), argv
         assert captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iterate-ade", "--subject", "exp(z)", "--ade", "y1 - y0", "--ade", "garbage((", "--count", "1"),
+        ("transfer-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0", "--ade", "garbage(("),
+        ("rewrite-chain", "--ade", "y1 - y0", "--ade", "garbage(("),
+    ],
+)
+def test_a_second_equation_is_a_usage_error(capsys, argv):
+    # the second --ade would otherwise be dropped unread
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} needs exactly one --ade equation\n"
+
+
+def test_a_complex_radius_is_a_usage_error(capsys):
+    # the real part alone would measure a circle nobody asked for
+    rc, out, err = run(capsys, "growth", "max-modulus", "--subject", "exp(z)", "--radii", "1+i")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: radius '1+i' is not real\n"
+
+
+def _leaf_commands(parser, words=()):
+    """(command words, parser) of every subcommand that has a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, words + (name,))
+            return
+    yield words, parser
+
+
+def _reads(fn):
+    """The attributes of args that fn reads, following the cli helpers it
+    hands args to, and whether it reads env."""
+    attrs, uses_env = set(), False
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "env" and isinstance(node.ctx, ast.Load):
+            uses_env = True
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            helper = getattr(cli, node.func.id, None)
+            hands_args = any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+            if hands_args and inspect.isfunction(helper) and helper.__module__ == cli.__name__:
+                attrs |= _reads(helper)[0]
+    return attrs, uses_env
+
+
+def test_every_option_is_read():
+    # main reads --timing for every command, and --def to build the
+    # environment, which only a handler that reads env uses
+    unread = []
+    for words, sub in _leaf_commands(build_parser()):
+        attrs, uses_env = _reads(sub.get_default("func"))
+        read = attrs | {"timing"} | ({"defs"} if uses_env else set())
+        unread += [
+            (" ".join(words), action.option_strings[0])
+            for action in sub._actions
+            if action.option_strings and action.dest != "help" and action.dest not in read
+        ]
+    assert unread == []
 
 
 def test_growth_sample_cap_is_a_usage_error(capsys, monkeypatch):

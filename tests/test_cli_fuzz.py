@@ -103,10 +103,14 @@ CENTERS = ["1/4", "-1", "i", "pi", "2^3", "z", "1/0", "("]
 PLAIN_CENTERS = ["0", "z", "1/0", "("]
 
 
-def _common(rng, argv, mode=True, centers=CENTERS):
+def _common(rng, argv, mode=True, centers=CENTERS, defs=True, fmt=True):
+    # --def and --format are drawn for every command, offered or not, so
+    # that each case draws what it drew when every command took both
     if rng.random() < 0.9:
-        argv += ["--def", _definition(rng)]
-    if rng.random() < 0.2:
+        definition = _definition(rng)
+        if defs:
+            argv += ["--def", definition]
+    if rng.random() < 0.2 and fmt:
         argv += ["--format", "json"]
     if mode and rng.random() < 0.3:
         argv += ["--mode", "numeric"]
@@ -123,9 +127,11 @@ def _argv(rng):
         ]
     )
     if cmd == "series":
-        return _common(rng, [cmd, "--subject", _subject(rng), "--order", str(rng.randint(-1, 6))])
+        return _common(rng, [cmd, "--subject", _subject(rng), "--order", str(rng.randint(-1, 6))], fmt=False)
     if cmd == "diff":
-        return _common(rng, [cmd, "--subject", _subject(rng), "--count", str(rng.randint(-1, 3))], False, None)
+        return _common(
+            rng, [cmd, "--subject", _subject(rng), "--count", str(rng.randint(-1, 3))], False, None, fmt=False
+        )
     if cmd == "find-ade":
         subject = rng.choice(["exp(z)", "sin(z)", "z*exp(z)", "exp(2*z)", _subject(rng)])
         argv = [
@@ -150,7 +156,7 @@ def _argv(rng):
         argv = [cmd, "--order", str(rng.randint(-1, 3))]
         if rng.random() < 0.4:
             argv += ["--ade", _ade(rng)]
-        return _common(rng, argv, False, None)
+        return _common(rng, argv, False, None, defs=False)
     if cmd == "check-permutable":
         argv = [cmd, "--subject", _pair(rng), "--order", str(rng.randint(-1, 8))]
         return _common(rng, argv, centers=PLAIN_CENTERS)
@@ -173,10 +179,10 @@ def _argv(rng):
             argv += ["--radii", rng.choice(["1,2", "1/2", "pi", "0", "1/(z-z)", "exp(1000)"])]
         else:
             argv += ["--radius", radius]
-    else:
-        argv = ["growth", action, "--subject", _pair(rng), "--samples", samples, "--radius", radius]
-        if action == "baker-scan":
-            argv += ["--max-p", str(rng.randint(-1, 2))]
+        return _common(rng, argv, False, None, fmt=False)
+    argv = ["growth", action, "--subject", _pair(rng), "--samples", samples, "--radius", radius]
+    if action == "baker-scan":
+        argv += ["--max-p", str(rng.randint(-1, 2))]
     return _common(rng, argv, False, None)
 
 

@@ -94,8 +94,7 @@ def rand_series(rng, order):
 
 
 def evaluate(p, jet, order):
-    terms = jet.terms(p.terms, (frac_to_series(c, 0, order) for c in p.terms.values()), order)
-    return sum(terms, PowerSeries.zero(order))
+    return jet.residual({m: frac_to_series(c, 0, order) for m, c in p.terms.items()}, order)[0]
 
 
 def seeded_ring_and_derivation_sweep(count=100, seed=60103):

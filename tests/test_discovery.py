@@ -225,6 +225,12 @@ def test_numeric_nullspace_matches_exact_rank():
     assert abs(w[0] - 1) < 1e-9 and abs(w[1] + 2) < 1e-9
 
 
+def test_numeric_nullspace_of_a_zero_matrix_is_the_unit_basis():
+    basis, rank = numeric_nullspace([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert rank == 0
+    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_snap_scalar():
     assert snap_scalar(complex(0.5, 0)) == Frac.of(Fraction(1, 2))
     assert snap_scalar(complex(0.3333333333, 0)) == Frac.of(Fraction(1, 3))
@@ -273,6 +279,15 @@ def test_relation_search_numeric_mode():
     rel = relation_search(funcs, EMPTY_ENV, 0, 0.2, "numeric")
     assert rel.found
     assert [str(c) for c in rel.certificate] == ["1", "1", "-1"]
+
+
+def test_relation_search_picks_the_simplest_of_a_plane_of_relations():
+    # c0 + c1*z + c2*z^2 = 0 with linear c_k: the kernel is spanned by
+    # (z, -1, 0) and (0, z, -1), two terms of degree 1 each, and the
+    # coefficient texts break the tie
+    rel = relation_search([parse("1"), parse("z"), parse("z^2")], EMPTY_ENV, degree=1)
+    assert rel.num_unknowns - rel.rank == 2
+    assert [str(c) for c in rel.certificate] == ["0", "z", "-1"]
 
 
 # ---------------------------------------------------------------------------

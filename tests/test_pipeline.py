@@ -185,6 +185,25 @@ def test_transfer_escalates_to_second_iterate():
     assert holds_on(rep.output_ade, parse("exp(exp(z))"), EMPTY_ENV, 0, 30)
 
 
+def test_transfer_starting_at_the_second_iterate():
+    rep = transfer_ade(
+        parse("exp(z)"), parse_ade("y1 - y0"), parse("exp(exp(z))"), EMPTY_ENV, q=2, max_q=2
+    )
+    assert rep.found and rep.q == 2
+    assert rep.escalations == []
+    assert ade_text(rep.output_ade) == "y0*y2 - y1^2 - y0*y1"
+
+
+def test_transfer_moves_the_constant_of_the_translate_pair():
+    # g = f + 2*pi*i, so the z-coefficient of f's equation gains 2*pi*i:
+    # the answer has an adjoined constant, and its text parses back to it
+    rep = transfer_ade(parse("f", PAIR_ENV), parse_ade("y1 - y0 + z-1"), parse("g", PAIR_ENV), PAIR_ENV)
+    assert rep.found and rep.q == 1
+    text = ade_text(rep.output_ade)
+    assert text == "y1 - y0 + z+2*i*pi-1"
+    assert parse_ade(text) == rep.output_ade
+
+
 def test_transfer_exhausted_reports_attempts():
     rep = transfer_ade(
         parse("exp(z)"), parse_ade("y1 - y0"), parse("exp(exp(z))"), EMPTY_ENV, max_q=1
