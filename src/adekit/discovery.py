@@ -6,10 +6,22 @@ system, and an exact nullspace computation produces candidate identities.
 A candidate found with N unknowns is solved from N + 10 series
 coefficients and independently re-verified with 10 more, so a kernel
 vector that merely reflects truncation is rejected rather than reported.
+
+The exact nullspace guesses by homomorphism and proves exactly.  Its rows
+are mapped into F_p for one fixed prime, and a rank mod p equal to the
+column count proves full rank, since a ring homomorphism cannot raise
+rank.  A matrix with a kernel and adjoined constants is solved at one
+integer point of the constants, and that basis is returned only when it
+annihilates the rows exactly, the rank mod p leaves room for no other
+vector, and each vector has the shape back-substitution gives its free
+column.  Anything else falls back to Bareiss elimination over Z[i] and
+the constants.  Rank and kernel are statements about the free ring of
+adjoined constants either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,15 +72,35 @@ class VerificationError(DiscoveryError):
 
 
 def exact_nullspace(rows):
-    """Right nullspace basis of a matrix of scalar fractions.
+    """Right nullspace basis of a matrix of scalar fractions, and its rank.
 
-    Rows are cleared to polynomials with Gaussian-integer coefficients and
-    eliminated fraction-free, so every intermediate division is exact; the
-    basis vectors come back over the fraction field, one per free column.
+    Rows are cleared to polynomials with Gaussian-integer coefficients.  The
+    answer is guessed in cheap images of the matrix and proven over the
+    ring of the adjoined constants; when a proof fails, fraction-free
+    elimination over that ring gives it.  Either way the basis is the one
+    back-substitution reads off the echelon form: one vector per free
+    column, over the fraction field.
     """
     if not rows:
         return [], 0
     mat = [clear_denominators(r) for r in rows]
+    n = len(mat[0])
+    rank_p = _rank_mod_p(mat)
+    if rank_p == n:
+        # a ring homomorphism cannot raise rank
+        return [], n
+    names = set().union(*(q.variables() for row in mat for q in row))
+    if names:
+        found = _kernel_by_specialization(mat, rank_p, sorted(names))
+        if found is not None:
+            return found
+    return _bareiss(mat)
+
+
+def _bareiss(mat):
+    """(basis, rank) of cleared rows by fraction-free elimination, which
+    divides exactly at every step; the rows are not changed."""
+    mat = [list(r) for r in mat]
     m, n = len(mat), len(mat[0])
     prev = Poly.one()
     pivots = []
@@ -93,6 +125,116 @@ def exact_nullspace(rows):
         if r == m:
             break
     return _back_substitute(mat, pivots, EXACT, Frac), len(pivots)
+
+
+# The image of Z[i][constants] in F_p: p = 2^62 - 87 is prime with
+# p = 1 (mod 4), so -1 has the square root _MOD_I, the image of i.
+_MOD_P = 4611686018427387817
+_MOD_I = 120863620846201794
+
+
+def _residue(name: str) -> int:
+    """The fixed image of a variable in F_p, from the bytes of its name:
+    a constant is free, so any residue gives a ring homomorphism, and
+    one that does not depend on the hash seed keeps reruns identical."""
+    h = 1
+    for b in name.encode():
+        h = (h * 1099511628211 + b) % _MOD_P
+    return h
+
+
+def _rank_mod_p(mat) -> int:
+    """Rank of the image of cleared rows in F_p, a lower bound on their
+    rank over the fraction field."""
+    powers = {}
+
+    def image(q: Poly) -> int:
+        acc = 0
+        for mono, c in q.terms.items():
+            t = c.re.numerator + c.im.numerator * _MOD_I
+            for var in mono:
+                if var not in powers:
+                    name, e = var
+                    powers[var] = pow(_residue(name), e, _MOD_P)
+                t = t * powers[var] % _MOD_P
+            acc += t
+        return acc % _MOD_P
+
+    rows = [[image(q) for q in row] for row in mat]
+    m, n = len(rows), len(rows[0])
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, _MOD_P)
+        top = rows[r]
+        for i in range(r + 1, m):
+            row = rows[i]
+            f = row[col] * inv % _MOD_P
+            if f:
+                for j in range(col + 1, n):
+                    row[j] = (row[j] - f * top[j]) % _MOD_P
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _specialize(q: Poly, values) -> Poly:
+    """q with each variable replaced by its integer: a Gaussian integer."""
+    total = GaussianRational(0)
+    for mono, c in q.terms.items():
+        for name, e in mono:
+            c = c * values[name] ** e
+        total = total + c
+    return Poly.const(total)
+
+
+def _kernel_by_specialization(mat, rank_p: int, names):
+    """The kernel over the constants, guessed at one integer point (the
+    j-th name in sorted order goes to 3 + 2j) and returned only with its
+    proof, else None.  The proof: M v = 0 for each vector v, so the kernel
+    has dimension at least k; the rank mod p is at least n - k, so at most
+    k; and v is 1 at its free column c, 0 at the other free columns and 0
+    after c, so column c depends on the columns before it and is free in
+    the echelon form over the ring too.  A kernel vector is fixed by its
+    values on the free columns, so these are the vectors elimination over
+    the ring returns."""
+    n = len(mat[0])
+    values = {name: 3 + 2 * j for j, name in enumerate(names)}
+    basis, _ = _bareiss([[_specialize(q, values) for q in row] for row in mat])
+    k = len(basis)
+    if rank_p < n - k:
+        return None
+    free = [max(j for j, x in enumerate(v) if not x.is_zero()) for v in basis]
+    if len(set(free)) != k:
+        return None
+    for v, c in zip(basis, free):
+        if not v[c].is_one() or any(not v[f].is_zero() for f in free if f != c):
+            return None
+        if not _annihilates(mat, v):
+            return None
+    return basis, n - k
+
+
+def _annihilates(mat, v) -> bool:
+    """M v = 0 over the ring, for a vector with Gaussian-rational entries,
+    summed on the cleared rows with the vector cleared to Gaussian
+    integers."""
+    entries = [x.num.const_value() for x in v]
+    scale = 1
+    for g in entries:
+        scale = math.lcm(scale, g.re.denominator, g.im.denominator)
+    support = [(j, g * scale) for j, g in enumerate(entries) if g]
+    for row in mat:
+        acc = Poly.zero()
+        for j, g in support:
+            acc = acc + row[j].scale(g)
+        if not acc.is_zero():
+            return False
+    return True
 
 
 def numeric_nullspace(rows):

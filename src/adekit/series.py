@@ -100,8 +100,27 @@ class ExactDomain(Domain):
     def is_zero(self, c) -> bool:
         return c.is_zero()
 
-    # division and poles: exactly zero is the only singular value
-    is_singular = is_zero
+    def is_singular(self, c) -> bool:
+        """Division and poles: exactly zero is the only singular value, and
+        a nonzero constant that vanishes numerically is an error."""
+        if c.is_zero():
+            return True
+        self._require_nonzero_value(c)
+        return False
+
+    def _require_nonzero_value(self, c: Frac):
+        """Raise when a constant, nonzero in the free ring of adjoined
+        constants, is zero by its value: the ring treats constants such as
+        exp(1/8)^2 and exp(1/4) as independent.  A numerator of one term, a
+        Gaussian rational included, cannot vanish."""
+        if len(c.num.terms) < 2:
+            return
+        values = [frac_value(Frac(Poly({m: g}))) for m, g in c.num.terms.items()]
+        if abs(sum(values)) <= NUMERIC.tolerance * sum(map(abs, values)):
+            raise SeriesError(
+                f"exact constant {frac_str(c)} is zero by value; "
+                "exact mode treats its adjoined constants as independent"
+            )
 
     def max_abs(self, coeffs):
         raise SeriesError("max_abs is a numeric-mode helper")
@@ -112,7 +131,10 @@ class ExactDomain(Domain):
     def first_mismatch(self, a: "PowerSeries", b: "PowerSeries"):
         """Index of the first coefficient where a and b differ, or None."""
         n = min(a.order, b.order)
-        return next((k for k in range(n + 1) if a.coeffs[k] != b.coeffs[k]), None)
+        k = next((k for k in range(n + 1) if a.coeffs[k] != b.coeffs[k]), None)
+        if k is not None:
+            self._require_nonzero_value(a.coeffs[k] - b.coeffs[k])
+        return k
 
     def nullspace(self, rows):
         from .discovery import exact_nullspace

@@ -5,6 +5,7 @@ import argparse
 import ast
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -367,6 +368,42 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:"), argv
         assert captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exp(1/8)^2 - exp(1/4) is a nonzero polynomial in independent
+        # symbols but zero by value: no division by it, and no "differ"
+        # report from a difference that is zero by value
+        ("series", "--subject", "1/(exp(z/2)^2 - exp(z))", "--center", "1/4", "--order", "1"),
+        ("series", "--subject", "1/(exp(pi*i*z/3)^6 - 1)", "--center", "1", "--order", "0"),
+        ("find-ade", "--subject", "1/(exp(z/2)^2 - exp(z))", "--center", "1/4"),
+        ("check-permutable", "--subject", "f(z),g(z)", "--def", "f=sin(z)^2+cos(z)^2+z",
+         "--def", "g=z+1", "--order", "4"),
+    ],
+)
+def test_a_constant_that_is_zero_by_value_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: exact constant ") and err.count("\n") == 1
+    assert "is zero by value" in err
+
+
+def test_find_ade_output_does_not_depend_on_the_hash_seed():
+    # the residues of the modular rank come from the names' bytes, not
+    # from hash(), so two interpreters with different hash seeds agree
+    argv = [sys.executable, "-m", "adekit.cli", "find-ade", "--subject", "exp(exp(z))",
+            "--max-degree", "2", "--max-coeff-degree", "0", "--format", "json"]
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["ade"] == "y0*y2 - y1^2 - y0*y1"
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Kernel extraction and the bounded equation search."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from adekit import diffpoly
-from adekit.scalars import Frac, GaussianRational, Poly
+from adekit import diffpoly, discovery
+from adekit.scalars import Frac, GaussianRational, Poly, clear_denominators
 from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
 from adekit.expr import EMPTY_ENV, DefinitionEnvironment, parse
 from adekit.diffpoly import ade_text, holds_on, mono_weight, mono_total_degree, parse_ade
@@ -161,6 +164,163 @@ def test_exact_nullspace_matches_gauss_jordan_reference():
         if basis:
             # the basis vectors are independent, so they span the kernel
             assert _reference_rank(basis) == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# guessed in an image, proven over the ring
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve prime bases decide every
+    n below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_image_constants():
+    p, root = discovery._MOD_P, discovery._MOD_I
+    assert p.bit_length() == 62
+    assert _is_prime(p)
+    assert not _is_prime(p - 2) and _is_prime(7) and not _is_prime(3215031751)
+    assert p % 4 == 1
+    assert root * root % p == p - 1
+
+
+def test_residues_do_not_depend_on_the_hash_seed():
+    # the found equations cannot show a seed-dependent residue, since the
+    # proofs fix the answer; the residues themselves must not move either
+    code = "from adekit import discovery; print(discovery._residue('pi'), discovery._residue('exp(1)'))"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Spy on the routes of exact_nullspace: each elimination as "point"
+    (no adjoined constant in its rows) or "ring", and each specialization
+    as "proven" or "refused"."""
+    seen = []
+    bareiss, special = discovery._bareiss, discovery._kernel_by_specialization
+
+    def spy_bareiss(mat):
+        ring = any(not q.is_const() for row in mat for q in row)
+        seen.append("ring" if ring else "point")
+        return bareiss(mat)
+
+    def spy_special(mat, rank_p, names):
+        out = special(mat, rank_p, names)
+        seen.append("refused" if out is None else "proven")
+        return out
+
+    monkeypatch.setattr(discovery, "_bareiss", spy_bareiss)
+    monkeypatch.setattr(discovery, "_kernel_by_specialization", spy_special)
+    return seen
+
+
+def _bareiss_of(rows):
+    return discovery._bareiss([clear_denominators(r) for r in rows])
+
+
+def test_full_rank_mod_p_skips_elimination(paths):
+    pi, one = Frac.var("pi"), Frac.of(1)
+    rows = [[pi, one, Frac.of(0)], [one, pi, one], [pi * pi, one, pi + one], [one, one, one]]
+    assert exact_nullspace(rows) == ([], 3)
+    assert paths == []
+
+
+def test_a_kernel_free_of_constants_is_proven_at_one_point(paths):
+    # the last column is 2*col0 - i*col1, so the kernel is (2, -i, -1)
+    # up to scale, with no pi in it
+    pi, one, i = Frac.var("pi"), Frac.of(1), Frac.of(GaussianRational(0, 1))
+    cols = [[pi, one, one / (pi + one)], [one, pi * pi, pi]]
+    rows = [[a, b, 2 * a - i * b] for a, b in zip(*cols)]
+    basis, rank = exact_nullspace(rows)
+    assert paths == ["point", "proven"]
+    assert (basis, rank) == _bareiss_of(rows)
+    assert rank == 2 and basis == [[Frac.of(-2), i, Frac.of(1)]]
+
+
+def test_a_full_rank_matrix_singular_mod_p_falls_back(paths):
+    # full rank over Q(i), but the entry p vanishes in F_p
+    rows = _frac_rows([[discovery._MOD_P, 0], [0, 1]])
+    assert exact_nullspace(rows) == ([], 2)
+    assert paths == ["point"]
+
+
+def test_a_kernel_that_depends_on_a_constant_falls_back(paths):
+    # the matrix of test_exact_nullspace_adjoined_constant_kernel: its
+    # kernel has 2/(pi-1), so no vector over Q(i) annihilates it
+    pi, one, zero = Frac.var("pi"), Frac.of(1), Frac.of(0)
+    rows = [[pi, one, zero, one], [zero, one, one, zero], [one, zero, one, one]]
+    basis, rank = exact_nullspace(rows)
+    assert paths == ["point", "refused", "ring"]
+    assert (basis, rank) == _bareiss_of(rows)
+    assert rank == 3 and _annihilates(basis[0], rows)
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_a_rank_drop_at_the_specialization_point_falls_back(paths, square):
+    # pi goes to 3 at the specialization point, so pi - 3 vanishes there
+    # and the point's extra kernel vector (1, 0, ...) fails M v = 0; in the
+    # square case pi - r also vanishes mod p, which is how the matrix gets
+    # past the rank mod p at all
+    pi, one, zero = Frac.var("pi"), Frac.of(1), Frac.of(0)
+    drop = pi - Frac.of(3)
+    if square:
+        rows = [[drop, zero], [zero, pi - Frac.of(discovery._residue("pi"))]]
+    else:
+        rows = [[drop, zero, zero], [zero, one, one]]
+    basis, rank = exact_nullspace(rows)
+    assert paths == ["point", "refused", "ring"]
+    assert (basis, rank) == _bareiss_of(rows)
+    assert rank == 2 and len(basis) == len(rows[0]) - 2
+
+
+def test_exact_nullspace_matches_bareiss_sweep(paths):
+    # Q(i) and Z[i][pi] matrices, (pi+1) denominators included, of full
+    # rank, with a dependent row (a kernel over the constants, as a rule)
+    # and with a column dependent over Q(i) (a kernel free of them)
+    rng = random.Random(16016)
+    for trial in range(48):
+        kind = "gaussian" if trial % 2 else "pi"
+        shape = trial // 2 % 3
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        rows = [[_rand_entry(rng, kind) for _ in range(n)] for _ in range(m)]
+        if shape == 1 and m >= 3:
+            a, b = _rand_entry(rng, kind) or Frac.of(1), _rand_entry(rng, kind)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        elif shape == 2:
+            a, b = Frac.of(_rand_gaussian(rng)), Frac.of(_rand_gaussian(rng))
+            rows = [row[:-1] + [a * row[0] + b * row[-2 if n > 2 else 0]] for row in rows]
+        got = exact_nullspace(rows)
+        assert got == _bareiss_of(rows)
+        assert got[1] == _reference_rank(rows)
+    # the sweep takes every route: proven at the point, refused there, and
+    # Bareiss over Q(i) after a rank short mod p
+    assert {"proven", "refused"} <= set(paths)
 
 
 def _kernel_rows(monkeypatch, series, degree, center):

@@ -7,6 +7,7 @@ because re-exporting is its job.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adekit"
@@ -61,6 +62,25 @@ def test_no_unused_imports():
             if name not in used and (path.stem, name) not in EXEMPT:
                 unused.append(f"{path.stem}: {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the runtime stays stdlib-only: every import is relative or names a
+    # module of the standard library
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    foreign.append(f"{path.stem}: {name}")
+    assert not foreign, "imports outside the standard library: " + ", ".join(foreign)
 
 
 def test_no_private_imports_across_modules():

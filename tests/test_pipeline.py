@@ -194,6 +194,17 @@ def test_transfer_starting_at_the_second_iterate():
     assert ade_text(rep.output_ade) == "y0*y2 - y1^2 - y0*y1"
 
 
+def test_transfer_of_the_translate_pair_from_the_second_iterate():
+    # the composite search for f(f) ends in the 41x30 stage over
+    # Z[i][exp(1)] of the iterate square; its kernel is free of exp(1)
+    p = parse_ade("y2 - y1 + 1")
+    rep = transfer_ade(parse("f", PAIR_ENV), p, parse("g", PAIR_ENV), PAIR_ENV, q=2)
+    assert rep.status == "ok" and rep.q == 2
+    assert ade_text(rep.output_ade) == "y0*y2 - y0*y1 + y0"
+    assert rep.verified_order == 30
+    assert rep.escalations == []
+
+
 def test_transfer_moves_the_constant_of_the_translate_pair():
     # g = f + 2*pi*i, so the z-coefficient of f's equation gains 2*pi*i:
     # the answer has an adjoined constant, and its text parses back to it
