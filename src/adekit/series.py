@@ -112,10 +112,16 @@ class ExactDomain(Domain):
         """Raise when a constant, nonzero in the free ring of adjoined
         constants, is zero by its value: the ring treats constants such as
         exp(1/8)^2 and exp(1/4) as independent.  A numerator of one term, a
-        Gaussian rational included, cannot vanish."""
+        Gaussian rational included, cannot vanish, and a term past the
+        float range leaves the value unable to judge."""
         if len(c.num.terms) < 2:
             return
-        values = [frac_value(Frac(Poly({m: g}))) for m, g in c.num.terms.items()]
+        try:
+            values = [frac_value(Frac(Poly({m: g}))) for m, g in c.num.terms.items()]
+        except OverflowError:
+            return
+        if not all(map(cmath.isfinite, values)):
+            return
         if abs(sum(values)) <= NUMERIC.tolerance * sum(map(abs, values)):
             raise SeriesError(
                 f"exact constant {frac_str(c)} is zero by value; "

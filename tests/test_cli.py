@@ -391,6 +391,21 @@ def test_a_constant_that_is_zero_by_value_is_a_usage_error(capsys, argv):
     assert "is zero by value" in err
 
 
+@pytest.mark.parametrize(
+    "subject, value",
+    [
+        # exp(300)^3 overflows a complex power, exp(200)*exp(300)*exp(400)
+        # a complex product: a value past the float range judges nothing
+        ("1/(exp(z+300)^3 - exp(z))", "1/(exp(300)^3-1)"),
+        ("1/(exp(z+300)*exp(z+200)*exp(z+400) - exp(z))", "1/(exp(200)*exp(300)*exp(400)-1)"),
+    ],
+)
+def test_a_constant_past_the_float_range_is_not_judged_by_value(capsys, subject, value):
+    rc, out, err = run(capsys, "series", "--subject", subject, "--order", "0")
+    assert rc == 0 and err == ""
+    assert out == f"order 0\ncenter 0\n0: {value}\n"
+
+
 def test_find_ade_output_does_not_depend_on_the_hash_seed():
     # the residues of the modular rank come from the names' bytes, not
     # from hash(), so two interpreters with different hash seeds agree
