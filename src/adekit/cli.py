@@ -206,7 +206,8 @@ def _cmd_transfer_ade(args, env) -> int:
         "output_ade": None if rep.output_ade is None else ade_text(rep.output_ade),
         "verified_order": rep.verified_order,
         "escalations": rep.escalations,
-        "wall_time_ms": rep.wall_time_ms,
+        # pinned so reruns are byte-identical; --timing measures on stderr
+        "wall_time_ms": 0,
     }
     if args.format == "json":
         _print_json(payload)

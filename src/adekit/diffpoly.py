@@ -131,11 +131,6 @@ class DiffPoly:
         """(monomial, coefficient) pairs, heaviest monomial first."""
         return sorted(self.terms.items(), key=lambda t: mono_rank(t[0]), reverse=True)
 
-    def leading_monomial(self) -> DiffMono:
-        if not self.terms:
-            raise DiffPolyError("zero differential polynomial has no leading monomial")
-        return max(self.terms, key=mono_rank)
-
     def __eq__(self, other):
         return isinstance(other, DiffPoly) and self.terms == other.terms
 

@@ -59,8 +59,9 @@ OVERFLOW = _OverflowMarker()
 
 
 def _pair(log_abs, angle) -> tuple:
-    """(log_abs, angle) in the normal form LogPolar stores: floats, the angle
-    reduced to [-pi, pi], and 0.0 for an angle that is not finite."""
+    """A value w = exp(log_abs) * exp(i*angle) in its normal form: floats,
+    the angle reduced to [-pi, pi] and 0.0 when it is not finite, and a
+    log_abs of -inf for zero."""
     return (float(log_abs), math.remainder(float(angle), TAU) if math.isfinite(angle) else 0.0)
 
 
@@ -72,33 +73,6 @@ def _pair_of_complex(w: complex) -> tuple:
     if w == 0:
         return _ZERO
     return _pair(math.log(abs(w)), cmath.phase(w))
-
-
-class LogPolar:
-    """w = exp(log_abs) * exp(i*angle); log_abs of -inf encodes zero."""
-
-    __slots__ = ("log_abs", "angle")
-
-    def __init__(self, log_abs: float, angle: float):
-        self.log_abs, self.angle = _pair(log_abs, angle)
-
-    @staticmethod
-    def from_complex(w: complex) -> "LogPolar":
-        return LogPolar(*_pair_of_complex(complex(w)))
-
-    def is_zero(self) -> bool:
-        return self.log_abs == -math.inf
-
-    def to_complex(self) -> complex:
-        """Value as a complex float; requires the modulus to be representable."""
-        if self.is_zero():
-            return 0j
-        if self.log_abs > EXP_LIMIT:
-            raise GrowthError("modulus exceeds float range")
-        return cmath.rect(math.exp(self.log_abs), self.angle)
-
-    def __repr__(self):
-        return f"LogPolar({self.log_abs!r}, {self.angle!r})"
 
 
 # One sample's arithmetic on (log_abs, angle) pairs that are not OVERFLOW.
@@ -218,14 +192,6 @@ def _eval_block(e: Expression, args: list) -> list:
             raise TypeError(f"not a closed expression node: {node!r}")
         vals.append(v)
     return vals[-1]
-
-
-def eval_log_polar(e: Expression, arg: LogPolar):
-    """Evaluate with a log-polar argument; OVERFLOW propagates.  Closed
-    expressions only: resolve named references with
-    :func:`~adekit.expr.inline` first."""
-    (v,) = _eval_block(e, [(arg.log_abs, arg.angle)])
-    return v if v is OVERFLOW else LogPolar(*v)
 
 
 # ---------------------------------------------------------------------------

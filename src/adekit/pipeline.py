@@ -109,6 +109,8 @@ def iterate_ade(
     one composition at a time."""
     if count < 1:
         raise DiscoveryError("iterate count must be positive")
+    if p.is_zero():
+        raise DiscoveryError("cannot iterate the zero equation")
     _require_holds(p, f, env, center, mode, "f")
     if count == 1:
         return SearchOutcome(
@@ -140,7 +142,6 @@ class TransferReport:
     output_ade: DiffPoly | None
     verified_order: int
     escalations: list = field(default_factory=list)
-    wall_time_ms: int = 0
 
     @property
     def found(self) -> bool:
@@ -178,6 +179,8 @@ def transfer_ade(
         raise DiscoveryError("cannot transfer the zero equation")
     if max_relation_degree is not None and max_relation_degree < 0:
         raise DiscoveryError("the relation degree bound must be nonnegative")
+    if verified_order < 0:
+        raise DiscoveryError("the verification order must be nonnegative")
     _require_holds(p, f, env, center, mode, "the source function")
     commute = check_permutable(f, g, env, center=center, mode=mode)
     if not commute.equal:

@@ -626,9 +626,6 @@ class Frac:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_constant(self) -> bool:
-        return self.num.is_const() and self.den.is_one()
-
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
 

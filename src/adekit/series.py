@@ -147,9 +147,6 @@ class ExactDomain(Domain):
 
         return exact_nullspace(rows)
 
-    def to_numeric(self, s: "PowerSeries") -> "PowerSeries":
-        return PowerSeries(NUMERIC, [frac_value(c) for c in s.coeffs])
-
 
 class NumericDomain(Domain):
     """Complex floats; comparisons hold to a relative tolerance."""
@@ -210,9 +207,6 @@ class NumericDomain(Domain):
         basis, rank = numeric_nullspace(rows)
         return [[snap_scalar(x) for x in vec] for vec in basis], rank
 
-    def to_numeric(self, s: "PowerSeries") -> "PowerSeries":
-        return s
-
 
 EXACT = ExactDomain()
 NUMERIC = NumericDomain()
@@ -241,16 +235,6 @@ class PowerSeries:
     @staticmethod
     def zero(order: int, mode="exact") -> "PowerSeries":
         return PowerSeries.constant(Domain.of(mode).zero, order, mode)
-
-    @staticmethod
-    def identity(order: int, mode="exact") -> "PowerSeries":
-        """The series of z - center, i.e. coefficients [0, 1, 0, ...]."""
-        if order < 1:
-            raise SeriesError("identity needs order >= 1")
-        dom = Domain.of(mode)
-        c = [dom.zero] * (order + 1)
-        c[1] = dom.one
-        return PowerSeries(dom, c)
 
     # -- basics -------------------------------------------------------------
 
@@ -383,25 +367,6 @@ class PowerSeries:
         for k in range(n - 1, -1, -1):
             acc = acc * inner + PowerSeries.constant(outer.coeffs[k], n, self.domain)
         return acc
-
-    # -- conversions --------------------------------------------------------
-
-    def to_numeric(self) -> "PowerSeries":
-        return self.domain.to_numeric(self)
-
-    def close_to(self, other: "PowerSeries") -> bool:
-        """Numeric comparison: coefficients of magnitude at least 1e-6 must
-        agree to the numeric tolerance relatively, smaller ones absolutely."""
-        a = self.to_numeric()
-        b = other.to_numeric()
-        tol = NUMERIC.tolerance
-        n = min(a.order, b.order)
-        for k in range(n + 1):
-            x, y = a.coeffs[k], b.coeffs[k]
-            scale = max(abs(x), abs(y))
-            if abs(x - y) > tol * (scale if scale >= 1e-6 else 1.0):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

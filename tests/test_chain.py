@@ -36,6 +36,8 @@ from adekit.chain_rewrite import (
     verify_transfer,
 )
 
+from test_series import close_to
+
 
 def _pair_env():
     env = DefinitionEnvironment()
@@ -195,7 +197,7 @@ def test_transfer_residual_matches_expression_route(f_text, g_text, center):
         if f_text == "z^2":
             got = transfer_residual(support, bound, 1.0, 6, mode="numeric")
             want = _residual_by_expressions(support, bound, 1.0, 6, mode="numeric")
-            assert got.close_to(want), mono
+            assert close_to(got, want), mono
 
 
 def test_verify_transfer_positive_pairs():

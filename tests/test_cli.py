@@ -353,6 +353,11 @@ def test_usage_errors_exit_2(capsys):
         ("transfer-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0",
          "--max-relation-degree", "-1", "--max-q", "1"),
         ("iterate-ade", "--subject", "sin(z)", "--ade", "y1 - 2*y0", "--count", "1"),
+        # the zero equation holds for every function and says nothing, at
+        # every count
+        ("iterate-ade", "--subject", "exp(z)", "--ade", "0", "--count", "1"),
+        # a bound no check could meet, rejected before the commute check
+        ("transfer-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0", "--verified-order", "-5"),
         ("iterate-ade", "--subject", "z+exp(z)", "--ade", "y1 - 2*y0", "--count", "2",
          "--def", "f=z+exp(z)"),
         ("compose-ade", "--subject", "exp(z),sin(z)", "--ade", "y1 - y0", "--ade", "y1 - y0"),
@@ -368,6 +373,8 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:"), argv
         assert captured.err.count("\n") == 1, argv
+        if "--verified-order" in argv:
+            assert "verification order" in captured.err, argv
 
 
 @pytest.mark.parametrize(

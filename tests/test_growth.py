@@ -32,7 +32,6 @@ from adekit.growth import (
     MAX_SAMPLES,
     TAU,
     GrowthError,
-    LogPolar,
     OVERFLOW,
     baker_scan,
     characteristic,
@@ -40,13 +39,13 @@ from adekit.growth import (
     circle_log_abs,
     compose_iterate,
     composition_lower_bound,
-    eval_log_polar,
     growth_suite,
     is_transcendental,
     log_convexity,
     log_max_modulus,
     max_modulus,
 )
+from adekit.growth import _eval_block, _pair_of_complex
 
 EXP = parse("exp(z)")
 EXP2 = parse("exp(exp(z))")
@@ -54,44 +53,45 @@ EXP3 = parse("exp(exp(exp(z)))")
 EXP4 = parse("exp(exp(exp(exp(z))))")
 
 
-def test_log_polar_round_trip():
-    w = LogPolar.from_complex(3 - 4j)
-    assert abs(w.to_complex() - (3 - 4j)) < 1e-12
-    zero = LogPolar.from_complex(0)
-    assert zero.is_zero() and zero.to_complex() == 0j
+def one_sample(e, z0):
+    """A closed expression at one point, through the block evaluator: a
+    (log_abs, angle) pair, or OVERFLOW."""
+    (v,) = _eval_block(e, [_pair_of_complex(complex(z0))])
+    return v
 
 
-def test_log_polar_to_complex_guards_range():
-    with pytest.raises(GrowthError):
-        LogPolar(800.0, 0.0).to_complex()
+def pair_value(v):
+    """The complex value of a (log_abs, angle) pair in float range."""
+    log_abs, angle = v
+    return 0j if log_abs == -math.inf else cmath.rect(math.exp(log_abs), angle)
 
 
 def test_eval_log_polar_matches_direct_arithmetic():
     e = parse("(z+1)*(z-1) + z^3/2")
     for z0 in (2.0, -1.5 + 0.5j, 0.25j):
-        got = eval_log_polar(e, LogPolar.from_complex(z0))
+        got = one_sample(e, z0)
         want = (z0 + 1) * (z0 - 1) + z0**3 / 2
-        assert abs(got.to_complex() - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(pair_value(got) - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_eval_log_polar_cancellation():
-    got = eval_log_polar(parse("0*exp(z)"), LogPolar.from_complex(2.0))
-    assert got.is_zero()
+    got = one_sample(parse("0*exp(z)"), 2.0)
+    assert got[0] == -math.inf
     # subtraction cancels through rect/phase rounding: tiny, not exactly zero
-    got = eval_log_polar(parse("(z+1) - (z+1)"), LogPolar.from_complex(2.0))
-    assert got.is_zero() or got.log_abs < -30.0
+    got = one_sample(parse("(z+1) - (z+1)"), 2.0)
+    assert got[0] < -30.0
 
 
 def test_eval_log_polar_survives_a_triple_tower():
     # exp(exp(exp(4))) has log-modulus near 5.1e23, far past float range
     # for the value itself but an easy float as a logarithm
-    got = eval_log_polar(EXP3, LogPolar.from_complex(4.0))
+    got = one_sample(EXP3, 4.0)
     assert got is not OVERFLOW
-    assert math.isclose(got.log_abs, math.exp(math.exp(4.0)), rel_tol=1e-12)
+    assert math.isclose(got[0], math.exp(math.exp(4.0)), rel_tol=1e-12)
 
 
 def test_eval_log_polar_overflow_marker_on_quadruple_tower():
-    got = eval_log_polar(EXP4, LogPolar.from_complex(4.0))
+    got = one_sample(EXP4, 4.0)
     assert got is OVERFLOW
 
 
@@ -153,8 +153,7 @@ def test_compose_iterate_unrolls():
     sq = parse("z^2")
     assert compose_iterate(sq, 1) is sq
     third = compose_iterate(sq, 3)
-    got = eval_log_polar(third, LogPolar.from_complex(2.0))
-    assert abs(got.to_complex() - 256.0) < 1e-9
+    assert abs(pair_value(one_sample(third, 2.0)) - 256.0) < 1e-9
 
 
 def test_baker_scan_exponential_against_double_tower():
@@ -296,7 +295,7 @@ def test_characteristic_sandwich_reads_each_circle_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The per-sample walker that circles used before they were evaluated in
-# blocks, kept as the reference: one tree walk per sample, one LogPolar
+# blocks, kept as the reference: one tree walk per sample, one _RefPolar
 # object per node.
 
 
@@ -508,8 +507,8 @@ def test_fixed_circles_match_the_per_sample_walker(text, r, samples):
 
 
 def test_one_sample_evaluation_matches_the_per_sample_walker():
-    def reading(walk, closed, arg):
-        v = walk(closed, arg)
+    def reference(closed, z0):
+        v = _ref_eval(closed, _RefPolar.from_complex(z0))
         return v if v is OVERFLOW else (v.log_abs, v.angle)
 
     env = _sweep_env()
@@ -517,10 +516,8 @@ def test_one_sample_evaluation_matches_the_per_sample_walker():
     for text in ("c(exp(exp(exp(exp(z)))))", "sin(1000*z)", "exp(exp(exp(z)))/z", "(z+1)-(z+1)"):
         closed = inline(parse(text, env), env)
         for z0 in (4.0, -1.5 + 0.5j, 1j, 0.25):
-            assert _outcome(reading, eval_log_polar, closed, LogPolar.from_complex(z0)) == _outcome(
-                reading, _ref_eval, closed, _RefPolar.from_complex(z0)
-            ), (text, z0)
-    assert eval_log_polar(inline(parse("c(exp(exp(exp(exp(z)))))", env), env), LogPolar.from_complex(4.0)) is OVERFLOW
+            assert _outcome(one_sample, closed, z0) == _outcome(reference, closed, z0), (text, z0)
+    assert one_sample(inline(parse("c(exp(exp(exp(exp(z)))))", env), env), 4.0) is OVERFLOW
 
 
 def test_circle_memory_stays_near_its_output():

@@ -185,3 +185,65 @@ def test_only_series_composes():
             if isinstance(call.func, ast.Attribute) and call.func.attr == "compose":
                 callers.append(f"{path.stem}.{owner}:{call.lineno}")
     assert not callers, "series composed outside series: " + ", ".join(callers)
+
+
+# Definitions that only code outside the package calls, with that caller.
+OUTSIDE_CALLERS = {
+    "series.PowerSeries.compose": "bench/tracer.py traces it as the series.compose layer",
+    "chain_rewrite.transfer_residual": "bench/workloads.py checks the rewrite corpus with it",
+    "diffpoly.DiffPoly.monomial": "bench/workloads.py builds the rewrite corpus with it",
+}
+
+
+def _definitions(tree, stem):
+    """(qualified name, node) for every class, function and method."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}.{child.name}", child
+                yield from walk(child, f"{prefix}.{child.name}")
+            else:
+                yield from walk(child, prefix)
+
+    return walk(tree, stem)
+
+
+def _named(tree):
+    """Every name a tree reads or looks up as an attribute, with counts."""
+    counts = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] = counts.get(node.id, 0) + 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] = counts.get(node.attr, 0) + 1
+    return counts
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # code that only the tests call is surface without a purpose: a test's
+    # reference belongs in the tests
+    import adekit
+
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
+    named = {}
+    for tree in trees.values():
+        for name, n in _named(tree).items():
+            named[name] = named.get(name, 0) + n
+    orphans = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for qualname, node in _definitions(tree, stem):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if qualname.count(".") == 1 and name in adekit.__all__:
+                continue
+            if named.get(name, 0) == _named(node).get(name, 0):
+                orphans.append(qualname)
+    unexplained = sorted(set(orphans) - set(OUTSIDE_CALLERS))
+    assert not unexplained, "defined but called nowhere in the package: " + ", ".join(unexplained)
+    # an exemption whose definition went, or found a caller in the package, goes too
+    stale = sorted(set(OUTSIDE_CALLERS) - set(orphans))
+    assert not stale, "stale exemptions: " + ", ".join(stale)

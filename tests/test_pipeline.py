@@ -280,9 +280,3 @@ def test_transfer_checks_its_inputs_once(monkeypatch):
         ("y1 - y0", "exp(z)"),
         ("y0*y2 - y1^2 - y0*y1", "exp(exp(z))"),
     ]
-
-
-def test_transfer_wall_time_field_is_stable():
-    p = parse_ade("y2 - y1 + 1")
-    rep = transfer_ade(parse("f", PAIR_ENV), p, parse("g", PAIR_ENV), PAIR_ENV)
-    assert rep.wall_time_ms == 0
