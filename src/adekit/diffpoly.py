@@ -278,7 +278,7 @@ def normalize(p: DiffPoly) -> DiffPoly:
 class Jet:
     """The series y0, y1, ... of a function and its derivatives around one
     center, with every power and differential monomial of them, each built
-    once.
+    once and shared by the searches' columns and the checks' residuals.
 
     ``Jet(ys)`` holds a given stack and cannot grow.  ``Jet.expanding``
     owns one subject's expansion: it re-expands only when a caller needs
@@ -310,7 +310,7 @@ class Jet:
     def monomials(self, monos, order: int):
         """The series of each differential monomial through the given order,
         on the stack grown as far as they need."""
-        self.stack(max(map(mono_order, monos)), order)
+        self.stack(max(map(mono_order, monos), default=0), order)
         return [self._monomial(m).truncate(order) for m in monos]
 
     def _monomial(self, m: DiffMono) -> PowerSeries:
@@ -330,17 +330,12 @@ class Jet:
 
     def residual(self, terms, order: int):
         """(the sum through the given order, the series of each term) of a
-        map from monomial to coefficient series: each term is c * y0^e0 *
-        y1^e1 * ..., the coefficient first, then each power in turn, taken
-        once from the stack truncated to that order."""
-        powers = Jet(self.stack(max(map(mono_order, terms), default=0), order))
-        out = []
-        for m, s in terms.items():
-            for k, e in enumerate(m):
-                if e:
-                    s = s * powers._monomial((0,) * k + (e,))
-            out.append(s)
-        return sum(out, PowerSeries.zero(order, powers._ys[0].domain)), out
+        map from monomial to coefficient series: each term is the
+        coefficient times the monomial's series, the one ``monomials``
+        gives the searches."""
+        columns = self.monomials(list(terms), order)
+        out = [c * s for c, s in zip(terms.values(), columns)]
+        return sum(out, PowerSeries.zero(order, self._ys[0].domain)), out
 
 
 def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "exact") -> PowerSeries:

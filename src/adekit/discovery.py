@@ -40,9 +40,8 @@ from .diffpoly import (
     DiffPoly,
     Jet,
     holds_on,
-    mono_of,
+    mono_product,
     mono_rank,
-    mono_total_degree,
     mono_weight,
     normalize,
 )
@@ -396,22 +395,12 @@ def relation_search(
 def candidate_monomials(max_weight: int, max_degree: int):
     """Every differential monomial within the weight and degree budget,
     constant included, in ascending canonical order."""
-    seen = {()}
-    frontier = [()]
-    while frontier:
-        grown = []
-        for m in frontier:
-            for k in range(max_weight + 1):
-                bumped = list(m) + [0] * (k + 1 - len(m))
-                bumped[k] += 1
-                t = mono_of(bumped)
-                if t in seen:
-                    continue
-                if mono_weight(t) <= max_weight and mono_total_degree(t) <= max_degree:
-                    seen.add(t)
-                    grown.append(t)
-        frontier = grown
-    return sorted(seen, key=mono_rank)
+    ys = [(0,) * k + (1,) for k in range(max_weight + 1)]
+    monos = {()}
+    for _ in range(max_degree):
+        grown = (mono_product(m, y) for m in monos for y in ys)
+        monos |= {t for t in grown if mono_weight(t) <= max_weight}
+    return sorted(monos, key=mono_rank)
 
 
 @dataclass

@@ -257,9 +257,10 @@ def max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: in
     lm = log_max_modulus(f, env, r, samples)
     if lm == -math.inf:
         return 0.0
-    if lm > EXP_LIMIT:
+    try:
+        return math.exp(lm)
+    except OverflowError:
         return math.inf
-    return math.exp(lm)
 
 
 def characteristic(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 4096) -> float:

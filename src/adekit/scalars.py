@@ -702,13 +702,9 @@ def clear_denominators(fracs) -> list:
     lcm = Poly.one()
     for x in fracs:
         lcm = poly_lcm(lcm, x.den)
-    scale = Frac(lcm)
-    out = []
-    for x in fracs:
-        y = x * scale
-        if not y.den.is_one():
-            raise ScalarError("denominator survived clearing")
-        out.append(y.num)
+    # each denominator divides the lcm and shares no factor with its
+    # numerator, so this is the numerator of x * lcm with no gcd to take
+    out = [_times(x.num, poly_exact_div(lcm, x.den)) for x in fracs]
     denoms = 1
     for q in out:
         for g in q.terms.values():

@@ -6,9 +6,9 @@ explicit and monotone.  Exact coefficients are :class:`~adekit.scalars.Frac`
 values (z-free); numeric coefficients are Python complex.  Everything that
 differs between the two lives on a :class:`Domain`; every series carries
 its domain, and :meth:`Domain.of` is the one place that reads the mode
-names "exact" and "numeric".  The one numeric tolerance is
-:attr:`NumericDomain.tolerance`: the exact domain compares exactly, so
-no caller passes a tolerance.
+names "exact" and "numeric".  :attr:`NumericDomain.tolerance` decides
+numeric comparisons and ``NUMERIC_DIV_EPS`` a numeric division's
+singular constant term; no caller passes a tolerance.
 """
 
 from __future__ import annotations

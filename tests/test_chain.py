@@ -15,7 +15,6 @@ from adekit.expr import (
     DefinitionEnvironment,
     EMPTY_ENV,
     FuncRef,
-    Z,
     ZERO,
     add,
     expand_series,

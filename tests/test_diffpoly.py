@@ -270,6 +270,18 @@ def test_residual_series_is_zero_series():
     assert not res2.is_zero()
 
 
+def test_residual_terms_are_coefficients_times_the_search_columns():
+    # a check multiplies each monomial out in the order a search's column
+    # does, so a numeric residual term keeps the column's bits
+    p = parse_ade("(z+1)*y0*y1^2*y2 + (2*z-1)*y0^2*y1 + y1")
+    subject, center, order = parse("exp(sin(z))/(2+z)"), 0.3, 12
+    coeffs = {m: frac_to_series(c, center, order, "numeric") for m, c in p.terms.items()}
+    _, terms = Jet.expanding(subject, EMPTY_ENV, center, "numeric").residual(coeffs, order)
+    columns = Jet.expanding(subject, EMPTY_ENV, center, "numeric").monomials(list(coeffs), order)
+    for term, c, column in zip(terms, coeffs.values(), columns):
+        assert list(map(repr, term.coeffs)) == list(map(repr, (c * column).coeffs))
+
+
 if __name__ == "__main__":
     n = seeded_ring_and_derivation_sweep()
     print(f"ring and derivation sweep: {n} checks passed")

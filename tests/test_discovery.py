@@ -11,8 +11,8 @@ import pytest
 from adekit import diffpoly, discovery
 from adekit.scalars import Frac, GaussianRational, Poly, clear_denominators
 from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
-from adekit.expr import EMPTY_ENV, DefinitionEnvironment, parse
-from adekit.diffpoly import ade_text, holds_on, mono_weight, mono_total_degree, parse_ade
+from adekit.expr import EMPTY_ENV, parse
+from adekit.diffpoly import ade_text, holds_on, mono_of, mono_rank, mono_total_degree, mono_weight
 from adekit.discovery import (
     BoundExhausted,
     DiscoveryError,
@@ -415,6 +415,34 @@ def test_candidate_monomials_growth():
     a = len(candidate_monomials(2, 2))
     b = len(candidate_monomials(3, 3))
     assert a < b
+
+
+def _candidate_monomials_by_frontier(max_weight, max_degree):
+    """Reference enumeration: a breadth-first frontier that raises one
+    exponent at a time and keeps what stays within both budgets."""
+    seen = {()}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for k in range(max_weight + 1):
+                bumped = list(m) + [0] * (k + 1 - len(m))
+                bumped[k] += 1
+                t = mono_of(bumped)
+                if t in seen:
+                    continue
+                if mono_weight(t) <= max_weight and mono_total_degree(t) <= max_degree:
+                    seen.add(t)
+                    grown.append(t)
+        frontier = grown
+    return sorted(seen, key=mono_rank)
+
+
+def test_candidate_monomials_match_the_frontier_reference():
+    for max_weight in range(1, 7):
+        for max_degree in range(1, 6):
+            want = _candidate_monomials_by_frontier(max_weight, max_degree)
+            assert candidate_monomials(max_weight, max_degree) == want, (max_weight, max_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from adekit.scalars import Frac, GaussianRational, Poly, frac_str
 from adekit.expr import (
     Compose,
     DefinitionEnvironment,
-    EMPTY_ENV,
     Exp,
     ExprError,
     FuncRef,
@@ -22,7 +21,6 @@ from adekit.expr import (
     Lit,
     ParseError,
     PiConst,
-    Var,
     Z,
     add,
     differentiate,
@@ -34,7 +32,6 @@ from adekit.expr import (
     inline,
     lit,
     mul,
-    neg,
     nth_derivative,
     parse,
     pow_,

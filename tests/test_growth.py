@@ -109,6 +109,12 @@ def test_log_max_modulus_triple_tower_and_overflow():
     assert max_modulus(EXP3, EMPTY_ENV, 4.0, samples=256) == math.inf
 
 
+def test_max_modulus_is_finite_up_to_the_float_range():
+    # a float reaches about e^709.78, so log M = 709.5 is still finite
+    assert math.isclose(max_modulus(EXP, EMPTY_ENV, 709.5, samples=64), math.exp(709.5), rel_tol=1e-12)
+    assert max_modulus(EXP, EMPTY_ENV, 709.9, samples=64) == math.inf
+
+
 def test_sample_and_radius_validation():
     with pytest.raises(GrowthError):
         circle_log_abs(EXP, EMPTY_ENV, 1.0, 100)

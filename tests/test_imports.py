@@ -2,15 +2,17 @@
 
 A name imported into a module and never read there is dead weight, and
 after a refactor it is often the last trace of a deleted code path.  The
-check reads each module's syntax tree; ``__init__.py`` is left out
-because re-exporting is its job.
+check reads the syntax tree of each module of the package and of the
+tests; the package's ``__init__.py`` is left out because re-exporting is
+its job.
 """
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adekit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "adekit"
 
 # (module, name) pairs that stay imported although the module never reads them
 EXEMPT = {
@@ -53,8 +55,8 @@ def _used_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)

@@ -3,7 +3,6 @@
 import pytest
 
 from adekit import pipeline
-from adekit.scalars import Frac
 from adekit.expr import DefinitionEnvironment, EMPTY_ENV, parse
 from adekit.diffpoly import ade_text, holds_on, parse_ade
 from adekit.discovery import DiscoveryError, SearchOutcome
