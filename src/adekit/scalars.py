@@ -701,7 +701,9 @@ def clear_denominators(fracs) -> list:
     fracs = list(fracs)
     lcm = Poly.one()
     for x in fracs:
-        lcm = poly_lcm(lcm, x.den)
+        # the running lcm is monic, so a unit denominator leaves it as it is
+        if not x.den.is_one():
+            lcm = poly_lcm(lcm, x.den)
     # each denominator divides the lcm and shares no factor with its
     # numerator, so this is the numerator of x * lcm with no gcd to take
     out = [_times(x.num, poly_exact_div(lcm, x.den)) for x in fracs]

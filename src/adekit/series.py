@@ -374,37 +374,52 @@ class PowerSeries:
 
 
 def series_exp(a: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, via e' = a'e."""
+    """exp of a series with zero constant term, via e' = a'e.  Exact zeros
+    of a are skipped, as in ``PowerSeries.__mul__``, which changes no bit
+    of a finite result; the one numeric edge is a 0*inf term, which gave
+    nan and is now skipped."""
     _require_zero_const(a, "exp")
-    n = a.order
     dom = a.domain
+    slopes = _slopes(a)
     out = [dom.one]
-    for k in range(1, n + 1):
+    for k in range(1, a.order + 1):
         s = dom.zero
-        for j in range(1, k + 1):
-            s = s + a.coeffs[j] * j * out[k - j]
+        for j, ja in slopes:
+            if j > k:
+                break
+            s = s + ja * out[k - j]
         out.append(s * (dom.one / k))
     return PowerSeries(dom, out)
 
 
 def series_sin_cos(a: PowerSeries) -> tuple:
     """(sin a, cos a) for zero-constant-term a, via the coupled recurrences
-    s' = a'c and c' = -a's."""
+    s' = a'c and c' = -a's.  Exact zeros of a are skipped as in
+    :func:`series_exp`, with the same 0*inf edge."""
     _require_zero_const(a, "sin/cos")
-    n = a.order
     dom = a.domain
+    slopes = _slopes(a)
     s = [dom.zero]
     c = [dom.one]
-    for k in range(1, n + 1):
+    for k in range(1, a.order + 1):
         accs = dom.zero
         accc = dom.zero
-        for j in range(1, k + 1):
-            accs = accs + a.coeffs[j] * j * c[k - j]
-            accc = accc + a.coeffs[j] * j * s[k - j]
+        for j, ja in slopes:
+            if j > k:
+                break
+            accs = accs + ja * c[k - j]
+            accc = accc + ja * s[k - j]
         factor = dom.one / k
         s.append(accs * factor)
         c.append(-accc * factor)
     return PowerSeries(dom, s), PowerSeries(dom, c)
+
+
+def _slopes(a: PowerSeries) -> list:
+    """The pairs (j, j*a_j) of a' for the nonzero a_j, ascending in j:
+    each product once, associated as the recurrences always formed it."""
+    dom = a.domain
+    return [(j, a.coeffs[j] * j) for j in range(1, a.order + 1) if not dom.is_zero(a.coeffs[j])]
 
 
 def _require_zero_const(a: PowerSeries, what: str):

@@ -435,13 +435,44 @@ def _rand_frac_zpi(rng):
     return Frac(num, _rand_den(rng, ("z", "pi")))
 
 
+def _unit_den_frac(rng):
+    # denominator 1, rational coefficients inside the numerator
+    return Frac(rand_poly(rng, vars=("z", "pi"), max_deg=2, max_terms=2))
+
+
 def test_clear_denominators_matches_the_row_clearing_reference():
     rng = random.Random(1401)
-    for _ in range(150):
-        row = [_rand_frac_zpi(rng) for _ in range(rng.randint(1, 4))]
-        got, want = clear_denominators(row), _reference_clear_row(row)
-        assert [q.terms for q in got] == [q.terms for q in want], row
-        assert all(g.re.denominator == g.im.denominator == 1 for q in got for g in q.terms.values())
+    draws = {
+        "any": lambda: _rand_frac_zpi(rng),
+        "unit": lambda: _unit_den_frac(rng),
+        "mixed": lambda: rng.choice([_rand_frac_zpi, _unit_den_frac])(rng),
+    }
+    for kind, draw in draws.items():
+        for _ in range(150):
+            row = [draw() for _ in range(rng.randint(1, 4))]
+            assert kind != "unit" or all(x.den.is_one() for x in row)
+            got, want = clear_denominators(row), _reference_clear_row(row)
+            assert [q.terms for q in got] == [q.terms for q in want], (kind, row)
+            assert all(g.re.denominator == g.im.denominator == 1 for q in got for g in q.terms.values())
+
+
+def test_clear_denominators_takes_no_lcm_of_unit_denominators(monkeypatch):
+    calls = []
+    lcm = scalars.poly_lcm
+
+    def counted(a, b):
+        calls.append(b)
+        return lcm(a, b)
+
+    monkeypatch.setattr(scalars, "poly_lcm", counted)
+    rng = random.Random(1404)
+    for _ in range(50):
+        clear_denominators([_unit_den_frac(rng) for _ in range(rng.randint(1, 4))])
+    assert calls == []
+    # the spy does count: a row with one polynomial denominator takes one lcm
+    den = Poly.var("z") + Poly.one()
+    clear_denominators([Frac.of(1), Frac(Poly.one(), den), Frac.of(2)])
+    assert calls == [den]
 
 
 def test_unit_lead_numerators_match_the_reference():

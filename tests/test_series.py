@@ -172,6 +172,114 @@ def test_sparse_product_is_the_schoolbook_product():
             assert key((a * b).coeffs) == key(_schoolbook(a, b))
 
 
+# The elementary recurrences against the O(n^2) loops they replaced, which
+# formed a_j*j for every j and every k, exact zeros of a included
+
+
+def _reference_series_exp(a):
+    n = a.order
+    dom = a.domain
+    out = [dom.one]
+    for k in range(1, n + 1):
+        s = dom.zero
+        for j in range(1, k + 1):
+            s = s + a.coeffs[j] * j * out[k - j]
+        out.append(s * (dom.one / k))
+    return out
+
+
+def _reference_series_sin_cos(a):
+    n = a.order
+    dom = a.domain
+    s = [dom.zero]
+    c = [dom.one]
+    for k in range(1, n + 1):
+        accs = dom.zero
+        accc = dom.zero
+        for j in range(1, k + 1):
+            accs = accs + a.coeffs[j] * j * c[k - j]
+            accc = accc + a.coeffs[j] * j * s[k - j]
+        factor = dom.one / k
+        s.append(accs * factor)
+        c.append(-accc * factor)
+    return s, c
+
+
+def _signed(cs):
+    """Each coefficient's parts with their signs, so that a flipped signed
+    zero fails the comparison too."""
+    return [(repr(x.real), math.copysign(1.0, x.real), repr(x.imag), math.copysign(1.0, x.imag)) for x in cs]
+
+
+def _elementary_arguments(rng, value, zero):
+    """Zero-constant-term arguments: orders 0 and 1, a*z^m, and dense or
+    zero-heavy ones."""
+    yield [zero()]
+    yield [zero(), value()]
+    for _ in range(25):
+        n = rng.randint(2, 12)
+        m = rng.randint(1, n)
+        yield [zero() for _ in range(m)] + [value()] + [zero() for _ in range(n - m)]
+        yield [zero()] + [value() for _ in range(n)]
+        yield [zero()] + [value() if rng.random() < 0.4 else zero() for _ in range(n)]
+
+
+def test_elementary_recurrences_are_the_dense_reference():
+    rng = random.Random(1901)
+    pi = Frac.var("pi")
+
+    def gaussian_rational():
+        return Frac.of(GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2)))
+
+    def over_pi():
+        # Z[i][pi]: a Gaussian integer plus a Gaussian integer times pi
+        return Frac.of(GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))) + pi * rng.randint(-2, 2)
+
+    def numeric_value():
+        # a signed zero in one part now and then
+        return complex(*(rng.choice([-0.0, 0.0]) if rng.random() < 0.2 else rng.uniform(-2, 2) for _ in "ri"))
+
+    kinds = (
+        ("exact", gaussian_rational, lambda: Frac.of(0), list),
+        ("exact", over_pi, lambda: Frac.of(0), list),
+        ("numeric", numeric_value, lambda: rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]), _signed),
+    )
+    for mode, value, zero, key in kinds:
+        checked = 0
+        for coeffs in _elementary_arguments(rng, value, zero):
+            a = PowerSeries(mode, coeffs)
+            assert key(series_exp(a).coeffs) == key(_reference_series_exp(a)), coeffs
+            s, c = series_sin_cos(a)
+            want_s, want_c = _reference_series_sin_cos(a)
+            assert key(s.coeffs) == key(want_s) and key(c.coeffs) == key(want_c), coeffs
+            checked += 1
+        assert checked == 77
+
+
+def test_elementary_recurrences_make_linearly_many_products(monkeypatch):
+    calls = {"mul": 0}
+    mul = Frac.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Frac, "__mul__", counted)
+
+    def products(f, n):
+        # a*z at order n
+        a = PowerSeries("exact", [0, GaussianRational(2, 1)] + [0] * (n - 1))
+        calls["mul"] = 0
+        f(a)
+        return calls["mul"]
+
+    for f in (series_exp, series_sin_cos):
+        counts = {n: products(f, n) for n in (10, 20, 40)}
+        # count(n) = alpha*n + beta: doubling n doubles the increment
+        assert counts[40] - counts[20] == 2 * (counts[20] - counts[10]), (f.__name__, counts)
+        assert counts[40] <= 4 * 40 + 1, (f.__name__, counts)
+
+
 def test_poly_to_series_binomial_shift():
     # (z)^2 about center 3 reads 9 + 6(z-3) + (z-3)^2
     z = Poly.var("z")
