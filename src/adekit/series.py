@@ -375,9 +375,10 @@ class PowerSeries:
 
 def series_exp(a: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term, via e' = a'e.  Exact zeros
-    of a are skipped, as in ``PowerSeries.__mul__``, which changes no bit
-    of a finite result; the one numeric edge is a 0*inf term, which gave
-    nan and is now skipped."""
+    of a are skipped, as ``PowerSeries.__mul__`` skips them.  That changes
+    no bit of the result, with one numeric edge: a 0*inf term, which would
+    make the sum nan, is skipped with them (the inf still makes the result
+    fail the numeric domain's finiteness check)."""
     _require_zero_const(a, "exp")
     dom = a.domain
     slopes = _slopes(a)
