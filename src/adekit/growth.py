@@ -441,7 +441,7 @@ def log_convexity(
                 radii[k],
                 bend,
                 0.0,
-                bend >= -1e-9 * scale,
+                bend >= -STRICT_TOL * scale,
                 note=f"second difference at grid point {k}",
             )
         )

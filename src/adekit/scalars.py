@@ -471,17 +471,9 @@ def _univ(p: Poly, var: str) -> dict:
     return {e: p for e, p in polys if p}
 
 
-def _from_univ(d: dict, var: str) -> Poly:
-    total = Poly()
-    xv = Poly.var(var)
-    for e, coeff in d.items():
-        total = total + coeff * xv**e
-    return total
-
-
 def _prem(a: Poly, b: Poly, var: str) -> Poly:
     """Pseudo-remainder of a by b with respect to var."""
-    da, db = a.degree_in(var), b.degree_in(var)
+    db = b.degree_in(var)
     ub = _univ(b, var)
     lb = ub[db]
     r = a
@@ -498,8 +490,6 @@ def _prem(a: Poly, b: Poly, var: str) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd in graded-lex order; gcd(0, 0) = 0."""
-    if a.is_zero() and b.is_zero():
-        return Poly.zero()
     if a.is_zero():
         return _monic(b)
     if b.is_zero():
@@ -508,12 +498,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.one()
     heavier = sorted(a.variables() | b.variables(), key=_rank)
     var = heavier[0]
-    ua, ub = _univ(a, var), _univ(b, var)
-    ca = _content(list(ua.values()))
-    cb = _content(list(ub.values()))
+    ca = _content(list(_univ(a, var).values()))
+    cb = _content(list(_univ(b, var).values()))
     cont = poly_gcd(ca, cb)
-    pa = _from_univ({e: poly_exact_div(c, ca) for e, c in ua.items()}, var)
-    pb = _from_univ({e: poly_exact_div(c, cb) for e, c in ub.items()}, var)
+    pa, pb = poly_exact_div(a, ca), poly_exact_div(b, cb)
     if pa.degree_in(var) < pb.degree_in(var):
         pa, pb = pb, pa
     while not pb.is_zero():
@@ -534,11 +522,12 @@ def _content(polys: list) -> Poly:
 
 
 def _primitive_in(p: Poly, var: str) -> Poly:
+    """p divided by its content in var, made monic: the scalars of a
+    remainder sequence then stay small."""
     if p.is_zero():
         return p
-    up = _univ(p, var)
-    c = _content(list(up.values()))
-    return _from_univ({e: poly_exact_div(q, c) for e, q in up.items()}, var)
+    c = _content(list(_univ(p, var).values()))
+    return _monic(poly_exact_div(p, c))
 
 
 def _monic(p: Poly) -> Poly:
@@ -793,18 +782,10 @@ adjoin_constant("pi", math.pi)
 PI = Frac.var("pi")
 
 
-def frac_value(f: Frac, z: complex | None = None) -> complex:
-    """Numeric value of a fraction; z supplies the series variable."""
-
-    def value_of(name: str) -> complex:
-        if name == _Z:
-            if z is None:
-                raise ScalarError("value of 'z' required but not supplied")
-            return z
-        return constant_value(name)
-
-    denom = f.den.evaluate(value_of)
-    return f.num.evaluate(value_of) / denom
+def frac_value(f: Frac) -> complex:
+    """Numeric value of a fraction of adjoined constants; a fraction in z
+    raises ScalarError."""
+    return f.num.evaluate(constant_value) / f.den.evaluate(constant_value)
 
 
 # ---------------------------------------------------------------------------

@@ -664,3 +664,54 @@ def test_number_too_long_to_print_is_a_usage_error():
     assert proc.returncode == 2
     assert proc.stderr == "error: number has too many digits to print\n"
     assert "Traceback" not in proc.stderr
+
+
+def _run_cli(*argv, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "adekit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+# f1199 inlines 1199 definitions, each calling the one before it
+_DEF_CHAIN = ["--def", "f0=z+z^2"] + [a for k in range(1, 1200) for a in ("--def", f"f{k}=f{k - 1}(z)")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--subject", "z", "--center", "10^400", "--mode", "numeric"), "a value exceeds the floating-point range"),
+        (("--subject", "f1199(z)", *_DEF_CHAIN), "expression nested too deeply"),
+    ],
+    ids=["float-range", "def-chain"],
+)
+def test_recursion_and_overflow_exit_2_with_one_line(argv, message):
+    proc = _run_cli("series", *argv, "--order", "1", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        # four adjoined constants: exp(1/4), exp(1/8), cos(exp(1/4)), sin(exp(1/4))
+        (("--subject", "cos(exp(z))/(2+exp(z/2))"), 6),
+        # the middle value sin(1/4)/(3+sin(1/4)^3) has a polynomial denominator
+        (("--subject", "f(g(h(z)))", "--def", "f=exp(z)", "--def", "g=z/(3+z^3)", "--def", "h=sin(z)"), 4),
+    ],
+    ids=["cos-exp-quotient", "exp-quotient-sin"],
+)
+def test_series_past_the_gcd_cliff_finish(argv, order):
+    # a gcd whose remainders' scalars swell ran these for minutes; the
+    # series one order lower must print as the first lines of this one
+    lines = {}
+    for n in (order - 1, order):
+        proc = _run_cli("series", *argv, "--center", "1/4", "--order", str(n), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines[n] = proc.stdout.splitlines()
+    assert len(lines[order]) == order + 3
+    assert lines[order][2 : order + 2] == lines[order - 1][2:]

@@ -203,6 +203,111 @@ def test_frac_value_numeric():
 
 
 # ---------------------------------------------------------------------------
+# The gcd against the primitive remainder sequence that rebuilt each
+# primitive part from its coefficients and left the remainders' scalars
+# to grow
+
+
+def _reference_from_univ(d, var):
+    total = Poly()
+    xv = Poly.var(var)
+    for e, coeff in d.items():
+        total = total + coeff * xv**e
+    return total
+
+
+def _reference_prem(a, b, var):
+    db = b.degree_in(var)
+    lb = scalars._univ(b, var)[db]
+    r = a
+    while not r.is_zero():
+        dr = r.degree_in(var)
+        if dr < db:
+            break
+        lr = scalars._univ(r, var)[dr]
+        r = r * lb - b * lr * Poly.var(var) ** (dr - db)
+    return r
+
+
+def _reference_content(polys):
+    g = Poly.zero()
+    for p in polys:
+        g = _reference_poly_gcd(g, p)
+        if g.is_one():
+            break
+    return g if not g.is_zero() else Poly.one()
+
+
+def _reference_primitive_in(p, var):
+    if p.is_zero():
+        return p
+    up = scalars._univ(p, var)
+    c = _reference_content(list(up.values()))
+    return _reference_from_univ({e: poly_exact_div(q, c) for e, q in up.items()}, var)
+
+
+def _reference_poly_gcd(a, b):
+    if a.is_zero() and b.is_zero():
+        return Poly.zero()
+    if a.is_zero():
+        return scalars._monic(b)
+    if b.is_zero():
+        return scalars._monic(a)
+    if a.is_const() or b.is_const():
+        return Poly.one()
+    var = sorted(a.variables() | b.variables(), key=scalars._rank)[0]
+    ua, ub = scalars._univ(a, var), scalars._univ(b, var)
+    ca = _reference_content(list(ua.values()))
+    cb = _reference_content(list(ub.values()))
+    cont = _reference_poly_gcd(ca, cb)
+    pa = _reference_from_univ({e: poly_exact_div(c, ca) for e, c in ua.items()}, var)
+    pb = _reference_from_univ({e: poly_exact_div(c, cb) for e, c in ub.items()}, var)
+    if pa.degree_in(var) < pb.degree_in(var):
+        pa, pb = pb, pa
+    while not pb.is_zero():
+        r = _reference_prem(pa, pb, var)
+        pa, pb = pb, _reference_primitive_in(r, var)
+    if pa.degree_in(var) == 0:
+        pa = Poly.one()
+    return scalars._monic(cont * pa)
+
+
+def _gcd_pairs(rng, count):
+    """Pairs with a planted common factor over one to three of z and three
+    adjoined constants, with Gaussian-rational coefficients."""
+    names = ("z", "pi", "exp(1/4)", "sin(1/4)")
+    pairs = []
+    while len(pairs) < count:
+        vars = rng.sample(names, rng.randint(1, 3))
+        g, a, b = (rand_poly(rng, vars=vars, max_deg=2, max_terms=3) for _ in range(3))
+        if g and a and b:
+            pairs.append((g * a, g * b))
+    return pairs
+
+
+def test_poly_gcd_matches_the_rebuilding_reference(monkeypatch):
+    pairs = _gcd_pairs(random.Random(2001), 100)
+
+    def results():
+        return [
+            (poly_gcd(a, b).terms, poly_lcm(a, b).terms, frac_str(Frac(a, b)))
+            for a, b in pairs
+        ]
+
+    got = results()
+    monkeypatch.setattr(scalars, "poly_gcd", _reference_poly_gcd)
+    want = results()
+    for pair, g, w in zip(pairs, got, want):
+        assert g == w, pair
+    assert sum(not Poly(g).is_one() for g, _, _ in got) > 80
+    # gcd(0, 0) = 0 without a branch of its own; a zero operand gives the
+    # other made monic
+    a = pairs[0][0]
+    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
+    assert poly_gcd(Poly.zero(), a) == poly_gcd(a, Poly.zero()) == scalars._monic(a)
+
+
+# ---------------------------------------------------------------------------
 # The normal form of Frac, its unit-denominator path and shared operands
 
 
