@@ -30,6 +30,7 @@ from .scalars import (
     exp_of_scalar,
     frac_str,
     frac_value,
+    mono_mul,
     sin_of_scalar,
 )
 
@@ -69,6 +70,23 @@ class Domain:
 
     def coeffs(self, xs) -> tuple:
         return tuple(self.coeff(x) for x in xs)
+
+    def mul(self, a, b, n: int) -> list:
+        """Coefficients 0..n of the product of the coefficient sequences a
+        and b, summed in ascending index of a."""
+        # exact zeros of the left factor add nothing: a numeric sum starts
+        # at +0j, which adding a signed zero leaves as it is, so skipping
+        # them changes no bit of the result in either domain
+        support = [j for j in range(n + 1) if not self.is_zero(a[j])]
+        out = []
+        for k in range(n + 1):
+            s = self.zero
+            for j in support:
+                if j > k:
+                    break
+                s = s + a[j] * b[k - j]
+            out.append(s)
+        return out
 
 
 class ExactDomain(Domain):
@@ -127,6 +145,46 @@ class ExactDomain(Domain):
                 f"exact constant {frac_str(c)} is zero by value; "
                 "exact mode treats its adjoined constants as independent"
             )
+
+    def mul(self, a, b, n: int) -> list:
+        """The product on integers when no coefficient 0..n of either factor
+        has a polynomial denominator: each factor becomes Gaussian-integer
+        polynomials over one integer denominator, the convolution adds int
+        pairs per monomial, and each output coefficient is normalized once,
+        by one Fraction per part of each term.  Sums and products of
+        fractions over 1 stay over 1, so this is the loop's value and
+        normal form; any other pair of factors takes the loop."""
+        a, b = a[: n + 1], b[: n + 1]
+        if not all(c.den.is_one() for c in a + b):
+            return super().mul(a, b, n)
+        da, ta = _gaussian_integer_terms(a)
+        db, tb = _gaussian_integer_terms(b)
+        d = da * db
+        support = [(j, t) for j, t in enumerate(ta) if t]
+        out = []
+        for k in range(n + 1):
+            acc: dict = {}
+            for j, terms in support:
+                if j > k:
+                    break
+                right = tb[k - j]
+                for ma, ra, ia in terms:
+                    for mb, rb, ib in right:
+                        m = mono_mul(ma, mb)
+                        re = ra * rb - ia * ib
+                        im = ra * ib + ia * rb
+                        s = acc.get(m)
+                        if s is not None:
+                            re += s[0]
+                            im += s[1]
+                            if not (re or im):
+                                # a cancelled monomial leaves, as in Poly.__add__
+                                del acc[m]
+                                continue
+                        acc[m] = (re, im)
+            poly = {m: GaussianRational._raw(Fraction(re, d), Fraction(im, d)) for m, (re, im) in acc.items()}
+            out.append(Frac(Poly._raw(poly), _normalized=True) if poly else FRAC_ZERO)
+        return out
 
     def max_abs(self, coeffs):
         raise SeriesError("max_abs is a numeric-mode helper")
@@ -206,6 +264,18 @@ class NumericDomain(Domain):
 
         basis, rank = numeric_nullspace(rows)
         return [[snap_scalar(x) for x in vec] for vec in basis], rank
+
+
+def _gaussian_integer_terms(coeffs):
+    """A common integer denominator of polynomials over Gaussian rationals
+    (the numerators of the fractions coeffs), and each numerator's terms
+    times it as (monomial, re, im) with int parts."""
+    d = math.lcm(*(x.denominator for c in coeffs for g in c.num.terms.values() for x in (g.re, g.im)))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (d // x.denominator)
+
+    return d, [[(m, scaled(g.re), scaled(g.im)) for m, g in c.num.terms.items()] for c in coeffs]
 
 
 EXACT = ExactDomain()
@@ -300,21 +370,7 @@ class PowerSeries:
     def __mul__(self, other):
         self._check(other)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        dom = self.domain
-        # exact zeros of the left factor add nothing: a numeric sum starts
-        # at +0j, which adding a signed zero leaves as it is, so skipping
-        # them changes no bit of the result in either domain
-        support = [j for j in range(n + 1) if not dom.is_zero(a[j])]
-        out = []
-        for k in range(n + 1):
-            s = dom.zero
-            for j in support:
-                if j > k:
-                    break
-                s = s + a[j] * b[k - j]
-            out.append(s)
-        return PowerSeries(dom, out)
+        return PowerSeries(self.domain, self.domain.mul(self.coeffs, other.coeffs, n))
 
     def scale(self, c) -> "PowerSeries":
         c = self.domain.coeff(c)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from adekit.scalars import Frac, GaussianRational, Poly, frac_value
+from adekit.scalars import Frac, GaussianRational, Poly, frac_str, frac_value
 from adekit.series import (
     EXACT,
     NUMERIC,
@@ -170,6 +170,61 @@ def test_sparse_product_is_the_schoolbook_product():
             b = [value() for _ in range(nb + 1)] if trial % 2 else _zero_heavy(rng, nb, value, zeros)
             b = PowerSeries(mode, b)
             assert key((a * b).coeffs) == key(_schoolbook(a, b))
+
+
+def test_exact_product_on_integers_is_the_schoolbook_product():
+    rng = random.Random(2101)
+    pi = Frac.var("pi")
+    e = EXACT.exp(Frac.of(Fraction(1, 4)))
+
+    def gaussian(bound=4, parts="ri"):
+        def part(p):
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) if p in parts else 0
+
+        return Frac.of(GaussianRational(part("r"), part("i")))
+
+    kinds = {
+        "Q(i), large denominators": lambda: gaussian(10 ** rng.randint(1, 15)),
+        "real": lambda: gaussian(parts="r"),
+        "imaginary": lambda: gaussian(parts="i"),
+        "Z[i][pi]": lambda: gaussian() + pi * gaussian(),
+        "Z[i][pi, exp(1/4)]": lambda: gaussian() + pi * gaussian() + e * e * gaussian() + pi * e * gaussian(),
+    }
+    names = list(kinds)
+    for trial in range(300):
+        na, nb = (trial % 3, rng.randint(0, 2)) if trial < 24 else (rng.randint(2, 12), rng.randint(2, 12))
+        ka, kb = rng.choice(names), rng.choice(names)
+        a = PowerSeries("exact", _zero_heavy(rng, na, kinds[ka], [Frac.of(0)]))
+        if trial % 2:
+            b = PowerSeries("exact", [kinds[kb]() for _ in range(nb + 1)])
+        else:
+            # a(-z) plus a few perturbed terms: a(z)*a(-z) is even, so whole
+            # monomial sums cancel and some come back from the perturbation
+            b = [c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)]
+            for k in rng.sample(range(na + 1), min(na + 1, rng.randint(0, 2))):
+                b[k] = b[k] + kinds[kb]()
+            b = PowerSeries("exact", b)
+        got, want = (a * b).coeffs, _schoolbook(a, b)
+        assert list(got) == want, (ka, kb)
+        assert [frac_str(c) for c in got] == [frac_str(c) for c in want], (ka, kb)
+
+
+def test_polynomial_denominators_take_the_fraction_loop(monkeypatch):
+    pi = Frac.var("pi")
+    over_pi = PowerSeries("exact", [pi + 1, pi * GaussianRational(0, 3), Frac.of(2) - pi * pi, Fraction(1, 3)])
+    pole = PowerSeries("exact", [1, Frac.of(1) / (Frac.of(2) + pi), pi, 0])
+    calls = {"mul": 0}
+    mul = Frac.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Frac, "__mul__", counted)
+    over_pi * over_pi
+    assert calls["mul"] == 0
+    over_pi * pole
+    assert calls["mul"] > 0
 
 
 # The elementary recurrences against the O(n^2) loops they replaced, which
