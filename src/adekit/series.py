@@ -9,6 +9,12 @@ its domain, and :meth:`Domain.of` is the one place that reads the mode
 names "exact" and "numeric".  :attr:`NumericDomain.tolerance` decides
 numeric comparisons and ``NUMERIC_DIV_EPS`` a numeric division's
 singular constant term; no caller passes a tolerance.
+
+The product is the domain's too.  An exact product whose coefficients
+0..N all have denominator 1 (Gaussian rationals and polynomials in the
+adjoined constants over them) is a convolution of ints, normalized once per
+output coefficient; a factor with a polynomial denominator, such as
+1/(2+exp(z)) at 1/4, and every numeric product take the coefficient loop.
 """
 
 from __future__ import annotations
