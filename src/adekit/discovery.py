@@ -7,32 +7,33 @@ A candidate found with N unknowns is solved from N + 10 series
 coefficients and independently re-verified with 10 more, so a kernel
 vector that merely reflects truncation is rejected rather than reported.
 
-The exact nullspace guesses by homomorphism and proves exactly.  Its rows
-are mapped into F_p for one fixed prime, and a rank mod p equal to the
-column count proves full rank, since a ring homomorphism cannot raise
-rank.  A matrix with a kernel and adjoined constants is solved at one
-integer point of the constants, and that basis is returned only when it
-annihilates the rows exactly, the rank mod p leaves room for no other
-vector, and each vector has the shape back-substitution gives its free
-column.  Anything else falls back to Bareiss elimination over Z[i] and
-the constants.  Rank and kernel are statements about the free ring of
-adjoined constants either way.
+The exact nullspace guesses by homomorphism and proves exactly.  Its rows,
+as given, are mapped into F_p by scalars.residues, and a rank mod p equal
+to the column count proves full rank, since a ring homomorphism cannot
+raise rank.  Only a matrix with a kernel is cleared of denominators.  One
+with adjoined constants is solved at one integer point of the constants,
+and that basis is returned only when it annihilates the rows exactly,
+the rank mod p leaves room for no other vector, and each vector has the
+shape back-substitution gives its free column.  Anything else falls back
+to Bareiss elimination over Z[i] and the constants.  Rank and kernel are
+statements about the free ring of adjoined constants either way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import (
     FRAC_ZERO,
+    MOD_P,
     Frac,
     GaussianRational,
     Poly,
     clear_denominators,
     poly_exact_div,
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
+    residues,
     unit_lead_numerators,
 )
 from .series import EXACT, NUMERIC
@@ -73,21 +74,20 @@ class VerificationError(DiscoveryError):
 def exact_nullspace(rows):
     """Right nullspace basis of a matrix of scalar fractions, and its rank.
 
-    Rows are cleared to polynomials with Gaussian-integer coefficients.  The
-    answer is guessed in cheap images of the matrix and proven over the
-    ring of the adjoined constants; when a proof fails, fraction-free
-    elimination over that ring gives it.  Either way the basis is the one
-    back-substitution reads off the echelon form: one vector per free
-    column, over the fraction field.
+    Full rank is proven by the rank in F_p of the rows as given.  A kernel
+    is guessed on the rows cleared to Gaussian-integer polynomials and
+    proven over the ring of the adjoined constants; when a proof fails,
+    fraction-free elimination over that ring gives it.  Either way the
+    basis is the one back-substitution reads off the echelon form: one
+    vector per free column, over the fraction field.
     """
     if not rows:
         return [], 0
-    mat = [clear_denominators(r) for r in rows]
-    n = len(mat[0])
-    rank_p = _rank_mod_p(mat)
-    if rank_p == n:
+    rank_p = _rank_mod_p(rows)
+    if rank_p == len(rows[0]):
         # a ring homomorphism cannot raise rank
-        return [], n
+        return [], rank_p
+    mat = [clear_denominators(r) for r in rows]
     names = set().union(*(q.variables() for row in mat for q in row))
     if names:
         found = _kernel_by_specialization(mat, rank_p, sorted(names))
@@ -126,69 +126,33 @@ def _bareiss(mat):
     return _back_substitute(mat, pivots, EXACT, Frac), len(pivots)
 
 
-# The image of Z[i][constants] in F_p: p = 2^62 - 87 is prime with
-# p = 1 (mod 4), so -1 has the square root _MOD_I, the image of i.
-_MOD_P = 4611686018427387817
-_MOD_I = 120863620846201794
-
-
-def _residue(name: str) -> int:
-    """The fixed image of a variable in F_p, from the bytes of its name:
-    a constant is free, so any residue gives a ring homomorphism, and
-    one that does not depend on the hash seed keeps reruns identical."""
-    h = 1
-    for b in name.encode():
-        h = (h * 1099511628211 + b) % _MOD_P
-    return h
-
-
 def _rank_mod_p(mat) -> int:
-    """Rank of the image of cleared rows in F_p, a lower bound on their
-    rank over the fraction field."""
-    powers = {}
-
-    def image(q: Poly) -> int:
-        acc = 0
-        for mono, c in q.terms.items():
-            t = c.re.numerator + c.im.numerator * _MOD_I
-            for var in mono:
-                if var not in powers:
-                    name, e = var
-                    powers[var] = pow(_residue(name), e, _MOD_P)
-                t = t * powers[var] % _MOD_P
-            acc += t
-        return acc % _MOD_P
-
-    rows = [[image(q) for q in row] for row in mat]
-    m, n = len(rows), len(rows[0])
+    """Rank in F_p of the rows that have an image, a lower bound on the
+    rank over the fraction field, since fewer rows cannot raise it."""
+    rows = []
+    for row in mat:
+        try:
+            rows.append(residues(row))
+        except ZeroDivisionError:
+            continue
+    m, n = len(rows), len(mat[0])
     r = 0
     for col in range(n):
         piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, _MOD_P)
         top = rows[r]
-        for i in range(r + 1, m):
-            row = rows[i]
-            f = row[col] * inv % _MOD_P
+        inv = pow(top[col], -1, MOD_P)
+        for row in rows[r + 1 :]:
+            f = row[col] * inv % MOD_P
             if f:
                 for j in range(col + 1, n):
-                    row[j] = (row[j] - f * top[j]) % _MOD_P
+                    row[j] = (row[j] - f * top[j]) % MOD_P
         r += 1
         if r == m:
             break
     return r
-
-
-def _specialize(q: Poly, values) -> Poly:
-    """q with each variable replaced by its integer: a Gaussian integer."""
-    total = GaussianRational(0)
-    for mono, c in q.terms.items():
-        for name, e in mono:
-            c = c * values[name] ** e
-        total = total + c
-    return Poly.const(total)
 
 
 def _kernel_by_specialization(mat, rank_p: int, names):
@@ -203,7 +167,7 @@ def _kernel_by_specialization(mat, rank_p: int, names):
     the ring returns."""
     n = len(mat[0])
     values = {name: 3 + 2 * j for j, name in enumerate(names)}
-    basis, _ = _bareiss([[_specialize(q, values) for q in row] for row in mat])
+    basis, _ = _bareiss([[Poly.const(q.evaluate(values.get, GaussianRational.coerce)) for q in row] for row in mat])
     k = len(basis)
     if rank_p < n - k:
         return None
@@ -211,29 +175,16 @@ def _kernel_by_specialization(mat, rank_p: int, names):
     if len(set(free)) != k:
         return None
     for v, c in zip(basis, free):
-        if not v[c].is_one() or any(not v[f].is_zero() for f in free if f != c):
-            return None
-        if not _annihilates(mat, v):
+        if not v[c].is_one() or any(not v[f].is_zero() for f in free if f != c) or not _annihilates(mat, v):
             return None
     return basis, n - k
 
 
 def _annihilates(mat, v) -> bool:
-    """M v = 0 over the ring, for a vector with Gaussian-rational entries,
-    summed on the cleared rows with the vector cleared to Gaussian
-    integers."""
-    entries = [x.num.const_value() for x in v]
-    scale = 1
-    for g in entries:
-        scale = math.lcm(scale, g.re.denominator, g.im.denominator)
-    support = [(j, g * scale) for j, g in enumerate(entries) if g]
-    for row in mat:
-        acc = Poly.zero()
-        for j, g in support:
-            acc = acc + row[j].scale(g)
-        if not acc.is_zero():
-            return False
-    return True
+    """M v = 0 over the ring, on the cleared rows with the vector cleared
+    to Gaussian integers: a nonzero scale leaves M v = 0 as it is."""
+    support = [(j, g.const_value()) for j, g in enumerate(clear_denominators(v)) if g]
+    return not any(sum((row[j].scale(g) for j, g in support), Poly.zero()) for row in mat)
 
 
 def numeric_nullspace(rows):
@@ -441,7 +392,7 @@ def find_ade(
             for c in range(0, max_coeff_degree + 1):
                 unknowns = len(monos) * (c + 1)
                 n_solve = unknowns + SOLVE_MARGIN
-                candidate, rank, n_rows, dimension = search_stage(jet, monos, c, n_solve, center)
+                candidate, rank, n_rows, dimension = search_stage(jet, monos, c, center)
                 if candidate is None:
                     escalations.append(
                         {
@@ -476,13 +427,14 @@ def find_ade(
     )
 
 
-def search_stage(jet: Jet, monos, degree: int, order: int, center):
+def search_stage(jet: Jet, monos, degree: int, center):
     """One search stage: the kernel of the monomials of a jet with
     polynomial coefficients of the given degree, solved from the series
-    through the given order.  Returns (candidate, rank, rows, kernel
-    dimension); the candidate is the normalized equation of the simplest
-    kernel vector (fewest terms, then lowest coefficient degree, then
-    text), or None when the columns have full rank."""
+    through order unknowns + SOLVE_MARGIN.  Returns (candidate, rank,
+    rows, kernel dimension); the candidate is the normalized equation of
+    the simplest kernel vector (fewest terms, then lowest coefficient
+    degree, then text), or None when the columns have full rank."""
+    order = len(monos) * (degree + 1) + SOLVE_MARGIN
     basis, rank, n_rows = _kernel(jet.monomials(monos, order), degree, center)
 
     def equation(vec):

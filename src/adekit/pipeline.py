@@ -22,7 +22,6 @@ from .diffpoly import (
     normalize,
 )
 from .discovery import (
-    SOLVE_MARGIN,
     DiscoveryError,
     SearchOutcome,
     VerificationError,
@@ -207,7 +206,7 @@ def transfer_ade(
         )
         for deg in range(cap + 1):
             unknowns = len(support) * (deg + 1)
-            candidate, rank, _, _ = search_stage(g_jet, support, deg, unknowns + SOLVE_MARGIN, center)
+            candidate, rank, _, _ = search_stage(g_jet, support, deg, center)
             if candidate is not None:
                 break
             escalations.append({"q": qq, "relation_degree": deg, "rank": rank, "unknowns": unknowns})

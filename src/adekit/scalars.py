@@ -364,10 +364,10 @@ class Poly:
         best = min(self.terms, key=_mono_key)
         return best, self.terms[best]
 
-    def evaluate(self, value_of: Callable[[str], complex]) -> complex:
-        total = 0j
+    def evaluate(self, value_of: Callable[[str], complex], coeff=GaussianRational.to_complex):
+        total = 0
         for m, c in self.terms.items():
-            v = c.to_complex()
+            v = coeff(c)
             for name, e in m:
                 v *= value_of(name) ** e
             total += v
@@ -786,6 +786,55 @@ def frac_value(f: Frac) -> complex:
     """Numeric value of a fraction of adjoined constants; a fraction in z
     raises ScalarError."""
     return f.num.evaluate(constant_value) / f.den.evaluate(constant_value)
+
+
+# F_p for p = 2^62 - 87, a prime = 1 (mod 4): -1 has the square root _MOD_I
+MOD_P = 4611686018427387817
+_MOD_I = 120863620846201794
+
+
+def _residue(name: str) -> int:
+    """The fixed image of a variable in F_p, from the bytes of its name:
+    a constant is free, so any residue gives a ring homomorphism, and
+    one that does not depend on the hash seed keeps reruns identical."""
+    h = 1
+    for b in name.encode():
+        h = (h * 1099511628211 + b) % MOD_P
+    return h
+
+
+def _inverse_mod_p(d: int) -> int:
+    if not d % MOD_P:
+        raise ZeroDivisionError("denominator vanishes mod p")
+    return pow(d, -1, MOD_P)
+
+
+def _poly_residue(q: Poly, powers: dict) -> int:
+    acc = 0
+    for mono, c in q.terms.items():
+        t = c.re.numerator * c.im.denominator + c.im.numerator * c.re.denominator * _MOD_I
+        t *= _inverse_mod_p(c.re.denominator * c.im.denominator)
+        for var in mono:
+            if var not in powers:
+                name, e = var
+                powers[var] = pow(_residue(name), e, MOD_P)
+            t = t * powers[var] % MOD_P
+        acc += t
+    return acc % MOD_P
+
+
+def residues(fracs) -> list:
+    """Each fraction's image num * den^-1 in F_p, with i at a root of -1
+    and each adjoined constant at the residue of its name; a denominator,
+    or a coefficient's, that maps to 0 raises ZeroDivisionError."""
+    powers = {}
+    out = []
+    for x in fracs:
+        r = _poly_residue(x.num, powers)
+        if not x.den.is_one():
+            r = r * _inverse_mod_p(_poly_residue(x.den, powers)) % MOD_P
+        out.append(r)
+    return out
 
 
 # ---------------------------------------------------------------------------

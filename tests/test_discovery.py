@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from adekit import diffpoly, discovery
+from adekit import diffpoly, discovery, scalars
 from adekit.scalars import Frac, GaussianRational, Poly, clear_denominators
 from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
 from adekit.expr import EMPTY_ENV, parse
@@ -196,7 +196,7 @@ def _is_prime(n):
 
 
 def test_modular_image_constants():
-    p, root = discovery._MOD_P, discovery._MOD_I
+    p, root = scalars.MOD_P, scalars._MOD_I
     assert p.bit_length() == 62
     assert _is_prime(p)
     # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
@@ -208,7 +208,7 @@ def test_modular_image_constants():
 def test_residues_do_not_depend_on_the_hash_seed():
     # the found equations cannot show a seed-dependent residue, since the
     # proofs fix the answer; the residues themselves must not move either
-    code = "from adekit import discovery; print(discovery._residue('pi'), discovery._residue('exp(1)'))"
+    code = "from adekit import scalars; print(scalars._residue('pi'), scalars._residue('exp(1)'))"
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -266,7 +266,7 @@ def test_a_kernel_free_of_constants_is_proven_at_one_point(paths):
 
 def test_a_full_rank_matrix_singular_mod_p_falls_back(paths):
     # full rank over Q(i), but the entry p vanishes in F_p
-    rows = _frac_rows([[discovery._MOD_P, 0], [0, 1]])
+    rows = _frac_rows([[scalars.MOD_P, 0], [0, 1]])
     assert exact_nullspace(rows) == ([], 2)
     assert paths == ["point"]
 
@@ -291,7 +291,7 @@ def test_a_rank_drop_at_the_specialization_point_falls_back(paths, square):
     pi, one, zero = Frac.var("pi"), Frac.of(1), Frac.of(0)
     drop = pi - Frac.of(3)
     if square:
-        rows = [[drop, zero], [zero, pi - Frac.of(discovery._residue("pi"))]]
+        rows = [[drop, zero], [zero, pi - Frac.of(scalars._residue("pi"))]]
     else:
         rows = [[drop, zero, zero], [zero, one, one]]
     basis, rank = exact_nullspace(rows)
@@ -322,6 +322,39 @@ def test_exact_nullspace_matches_bareiss_sweep(paths):
     # the sweep takes every route: proven at the point, refused there, and
     # Bareiss over Q(i) after a rank short mod p
     assert {"proven", "refused"} <= set(paths)
+
+
+def test_a_full_rank_stage_never_clears_its_rows(monkeypatch):
+    cleared = []
+    clear = discovery.clear_denominators
+    monkeypatch.setattr(discovery, "clear_denominators", lambda row: cleared.append(row) or clear(row))
+    jet = diffpoly.Jet.expanding(parse("sin(pi*z)"), EMPTY_ENV, 0, "exact")
+    for coeff_degree in range(3):
+        candidate, _, _, dimension = discovery.search_stage(jet, candidate_monomials(1, 1), coeff_degree, 0)
+        assert candidate is None and dimension == 0
+    assert cleared == []
+    # the spy does see a stage with a kernel, y2 + pi^2*y0, clear its rows
+    candidate, _, _, _ = discovery.search_stage(jet, candidate_monomials(2, 1), 0, 0)
+    assert ade_text(candidate) == "y2 + pi^2*y0"
+    assert cleared
+
+
+def test_a_row_whose_denominator_vanishes_mod_p_gets_no_image(paths):
+    # the first row of each matrix has no image in F_p, so the rank there
+    # falls short of the column count and the rows take the exact route;
+    # over pi the short rank also refuses the kernel found at the point
+    pi, one = Frac.var("pi"), Frac.of(1)
+    no_image = Frac.of(Fraction(1, scalars.MOD_P))
+    vanishing = Frac(Poly.one(), Poly.var("pi") - Poly.const(scalars._residue("pi")))
+    for rows, route in (
+        ([[no_image, one], [Frac.of(2), Frac.of(3)]], ["point"]),
+        ([[pi, vanishing, one], [one, pi, one]], ["point", "refused", "ring"]),
+    ):
+        paths.clear()
+        got = exact_nullspace(rows)
+        assert paths == route
+        assert got == _bareiss_of(rows)
+    assert got[1] == 2 and _annihilates(got[0][0], rows)
 
 
 def _kernel_rows(monkeypatch, series, degree, center):

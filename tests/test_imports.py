@@ -144,6 +144,20 @@ def test_searches_take_no_tolerance():
     assert not found, "tolerance parameters: " + ", ".join(found)
 
 
+def test_only_scalars_maps_into_f_p():
+    # the prime of the image in F_p lives in scalars; a wide integer
+    # literal anywhere else is, as a rule, a private copy of it
+    wide = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "scalars":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is int and node.value.bit_length() >= 61:
+                wide.append(f"{path.stem}:{node.lineno}")
+    assert not wide, "integer literals of 61 bits or more outside scalars: " + ", ".join(wide)
+
+
 def test_only_expr_reads_tokens():
     # one parser reads all text; the lexer's tokens stay inside expr
     readers = []

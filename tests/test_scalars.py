@@ -22,6 +22,7 @@ from adekit.scalars import (
     poly_gcd,
     poly_lcm,
     poly_str,
+    residues,
     sin_of_scalar,
     unit_lead_numerators,
     PI,
@@ -389,6 +390,43 @@ def test_frac_normal_form_matches_the_reference(family):
         _assert_normal(Frac.of(pa), pa, Poly.one())
     for x in (0, 1, -3, Fraction(2, 3), GaussianRational(0, 1), GaussianRational(Fraction(-1, 2), 5)):
         _assert_normal(Frac.of(x), Poly.const(x), Poly.one())
+
+
+# rings of constants for the image in F_p: rational numbers inside the
+# coefficients, and polynomial denominators in the constants
+_IMAGE_RINGS = {
+    "Q(i)": lambda rng: Frac(Poly.const(rand_gauss(rng))),
+    "Z[i][pi]": lambda rng: Frac(rand_poly(rng, vars=("pi",), max_deg=2), _rand_den(rng, ("pi",))),
+    "Z[i][pi, exp(1/4)]": lambda rng: Frac(
+        rand_poly(rng, vars=("pi", "exp(1/4)"), max_deg=2), _rand_den(rng, ("pi", "exp(1/4)"))
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_IMAGE_RINGS))
+def test_residues_are_a_ring_homomorphism(ring):
+    p = scalars.MOD_P
+    rng = random.Random(2201 + sorted(_IMAGE_RINGS).index(ring))
+    draw = _IMAGE_RINGS[ring]
+    for _ in range(60):
+        x, y = draw(rng), draw(rng)
+        rx, ry = residues([x, y])
+        assert residues([x + y, x * y]) == [(rx + ry) % p, rx * ry % p]
+        if ry:
+            assert residues([x / y]) == [rx * pow(ry, -1, p) % p]
+    assert residues([Frac.of(GaussianRational(0, 1)), PI]) == [scalars._MOD_I, scalars._residue("pi")]
+
+
+def test_a_denominator_that_vanishes_mod_p_has_no_image():
+    # a Gaussian-rational denominator p, and pi minus its own residue
+    vanishing = (
+        Frac.of(Fraction(1, scalars.MOD_P)),
+        Frac.of(GaussianRational(1, Fraction(2, 3 * scalars.MOD_P))),
+        Frac(Poly.one(), Poly.var("pi") - Poly.const(scalars._residue("pi"))),
+    )
+    for x in vanishing:
+        with pytest.raises(ZeroDivisionError):
+            residues([Frac.of(1), x])
 
 
 def _snapshot(x):
