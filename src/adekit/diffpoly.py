@@ -23,8 +23,8 @@ from .scalars import (
     has_toplevel,
     unit_lead_numerators,
 )
-from .series import PowerSeries, frac_to_series
-from .expr import Grammar, ParseError, expand_series, parse_text
+from .series import PowerSeries
+from .expr import Grammar, ParseError, expand_series, expression_of_frac, parse_text
 
 
 class DiffPolyError(ValueError):
@@ -345,7 +345,7 @@ def residual_series(p: DiffPoly, subject, env, center, order: int, mode: str = "
 
 def _residual(p: DiffPoly, subject, env, center, order: int, mode):
     """Jet.residual of P on an expansion of the subject of its own."""
-    coeffs = {m: frac_to_series(c, center, order, mode) for m, c in p.terms.items()}
+    coeffs = {m: expand_series(expression_of_frac(c), center, order, mode=mode) for m, c in p.terms.items()}
     return Jet.expanding(subject, env, center, mode).residual(coeffs, order)
 
 

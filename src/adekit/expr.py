@@ -43,10 +43,7 @@ from .scalars import (
     GR_ONE,
     GaussianRational,
     Poly,
-    cos_of_scalar,
-    exp_of_scalar,
     gauss_str,
-    sin_of_scalar,
 )
 from .series import Domain, PowerSeries, SeriesError, series_exp, series_sin_cos
 
@@ -727,25 +724,24 @@ def _eval(e: Expression, pt: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Exact scalar evaluation (z-free expressions)
+# Exact readings: constants and rational functions of z
 
 
 def scalar_of(e: Expression) -> Frac:
-    """Exact value of a z-free expression as a scalar fraction."""
-    return _frac_fold(e, constant=True)
+    """Exact value of a z-free expression as a scalar fraction: its
+    expansion to order 0, so that a constant meets every check an exact
+    series meets, the zero-by-value check of its divisions included."""
+    if any(type(node) is Var for node, _ in e._subtrees):
+        raise ExprError("expression depends on z where a constant is required")
+    return expand_series(e, 0, 0).coeffs[0]
 
 
 def frac_of_expression(e: Expression) -> Frac:
     """Read an exp/sin/cos-free expression as a rational function of z."""
-    return _frac_fold(e, constant=False)
+    return _frac_fold(e)
 
 
-_OF_SCALAR = {Exp: exp_of_scalar, Sin: sin_of_scalar, Cos: cos_of_scalar}
-
-
-def _frac_fold(e: Expression, constant: bool) -> Frac:
-    """e as a fraction: a z-free constant, with exp/sin/cos of scalars,
-    or else a rational function of z."""
+def _frac_fold(e: Expression) -> Frac:
     vals = []
     for node, ops in e._subtrees:
         t = type(node)
@@ -753,18 +749,14 @@ def _frac_fold(e: Expression, constant: bool) -> Frac:
             v = Frac.of(node.value)
         elif t is PiConst:
             v = Frac.var("pi")
-        elif t is Var and not constant:
+        elif t is Var:
             v = Frac.var("z")
         elif t in _ARITH:
             v = _ARITH[t](vals[ops[0]], vals[ops[1]])
         elif t is Pow:
             v = vals[ops[0]] ** node.exponent
-        elif constant and t in _OF_SCALAR:
-            v = _OF_SCALAR[t](vals[ops[0]])
-        elif t is Var:
-            raise ExprError("expression depends on z where a constant is required")
         else:
-            raise ExprError(f"{t.__name__} node is {'not a constant scalar' if constant else 'not rational in z'}")
+            raise ExprError(f"{t.__name__} node is not rational in z")
         vals.append(v)
     return vals[-1]
 

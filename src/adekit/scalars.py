@@ -695,7 +695,7 @@ def clear_denominators(fracs) -> list:
             lcm = poly_lcm(lcm, x.den)
     # each denominator divides the lcm and shares no factor with its
     # numerator, so this is the numerator of x * lcm with no gcd to take
-    out = [_times(x.num, poly_exact_div(lcm, x.den)) for x in fracs]
+    out = [_times(x.num, lcm if x.den.is_one() else poly_exact_div(lcm, x.den)) for x in fracs]
     denoms = 1
     for q in out:
         for g in q.terms.values():
@@ -810,17 +810,21 @@ def _inverse_mod_p(d: int) -> int:
 
 
 def _poly_residue(q: Poly, powers: dict) -> int:
-    acc = 0
+    # the terms summed as one fraction num/den, so that one inverse serves
+    # the polynomial; p is prime, so den maps to 0 exactly when a term's
+    # denominator does
+    num, den = 0, 1
     for mono, c in q.terms.items():
+        d = c.re.denominator * c.im.denominator
         t = c.re.numerator * c.im.denominator + c.im.numerator * c.re.denominator * _MOD_I
-        t *= _inverse_mod_p(c.re.denominator * c.im.denominator)
         for var in mono:
             if var not in powers:
                 name, e = var
                 powers[var] = pow(_residue(name), e, MOD_P)
             t = t * powers[var] % MOD_P
-        acc += t
-    return acc % MOD_P
+        num = (num * d + t * den) % MOD_P
+        den = den * d % MOD_P
+    return num * _inverse_mod_p(den) % MOD_P
 
 
 def residues(fracs) -> list:

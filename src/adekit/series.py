@@ -3,7 +3,10 @@
 A series stores coefficients 0..N for a fixed truncation order N.  Binary
 operations truncate to the smaller operand order, so precision loss is
 explicit and monotone.  Exact coefficients are :class:`~adekit.scalars.Frac`
-values (z-free); numeric coefficients are Python complex.  Everything that
+values (z-free); numeric coefficients are Python complex.  The module knows
+no variable: every expansion of an expression into a series, the rational
+coefficients of an equation and the exact constants of the command line
+included, is :func:`adekit.expr.expand_series`.  Everything that
 differs between the two lives on a :class:`Domain`; every series carries
 its domain, and :meth:`Domain.of` is the one place that reads the mode
 names "exact" and "numeric".  :attr:`NumericDomain.tolerance` decides
@@ -488,41 +491,3 @@ def _slopes(a: PowerSeries) -> list:
 def _require_zero_const(a: PowerSeries, what: str):
     if not a.domain.is_zero(a.coeffs[0]):
         raise SeriesError(f"{what} of a series needs a zero constant term; split the constant first")
-
-
-# ---------------------------------------------------------------------------
-# Series of polynomials and rational functions in z
-
-
-def poly_to_series(p: Poly, center, order: int, mode="exact") -> PowerSeries:
-    """Expand a polynomial (in z and constants) around z = center."""
-    dom = Domain.of(mode)
-    out = [dom.zero] * (order + 1)
-    center = dom.center(center)
-    for mono, coeff in p.terms.items():
-        zdeg = 0
-        rest = []
-        for v, e in mono:
-            if v == "z":
-                zdeg = e
-            else:
-                rest.append((v, e))
-        base = dom.scalar(Frac(Poly({tuple(rest): coeff})))
-        # binomial shift: z^zdeg = (center + t)^zdeg
-        binom = 1
-        for j in range(0, min(zdeg, order) + 1):
-            out[j] = out[j] + base * binom * center ** (zdeg - j)
-            binom = binom * (zdeg - j) // (j + 1)
-    return PowerSeries(dom, out)
-
-
-def frac_to_series(f: Frac, center, order: int, mode="exact") -> PowerSeries:
-    """Expand a rational function of z around z = center; the denominator
-    must not vanish there."""
-    num = poly_to_series(f.num, center, order, mode)
-    if f.den.is_one():
-        return num
-    den = poly_to_series(f.den, center, order, mode)
-    if den.domain.is_singular(den.coeffs[0]):
-        raise SeriesError("rational coefficient has a pole at the expansion center")
-    return num / den

@@ -353,6 +353,8 @@ def test_usage_errors_exit_2(capsys):
         ("transfer-ade", "--subject", "exp(z),exp(z)", "--ade", "y1 - y0",
          "--max-relation-degree", "-1", "--max-q", "1"),
         ("iterate-ade", "--subject", "sin(z)", "--ade", "y1 - 2*y0", "--count", "1"),
+        # an equation whose coefficients have a pole at the center
+        ("iterate-ade", "--subject", "exp(z)", "--ade", "y1/z - y0/z", "--count", "2"),
         # the zero equation holds for every function and says nothing, at
         # every count
         ("iterate-ade", "--subject", "exp(z)", "--ade", "0", "--count", "1"),
@@ -388,6 +390,8 @@ def test_usage_errors_exit_2(capsys):
         ("find-ade", "--subject", "1/(exp(z/2)^2 - exp(z))", "--center", "1/4"),
         ("check-permutable", "--subject", "f(z),g(z)", "--def", "f=sin(z)^2+cos(z)^2+z",
          "--def", "g=z+1", "--order", "4"),
+        # a center divides as a series does
+        ("series", "--subject", "z", "--center", "1/(exp(1/8)^2-exp(1/4))"),
     ],
 )
 def test_a_constant_that_is_zero_by_value_is_a_usage_error(capsys, argv):

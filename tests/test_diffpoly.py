@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from adekit.scalars import Frac, Poly
-from adekit.series import PowerSeries, frac_to_series
+from adekit.series import NUMERIC, PowerSeries
 from adekit.expr import EMPTY_ENV, expand_series, parse
 from adekit.diffpoly import (
     DiffPoly,
@@ -28,6 +28,8 @@ from adekit.diffpoly import (
     parse_ade,
     residual_series,
 )
+
+from test_series import shifted_series
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,7 @@ def rand_series(rng, order):
 
 
 def evaluate(p, jet, order):
-    return jet.residual({m: frac_to_series(c, 0, order) for m, c in p.terms.items()}, order)[0]
+    return jet.residual({m: shifted_series(c, 0, order) for m, c in p.terms.items()}, order)[0]
 
 
 def seeded_ring_and_derivation_sweep(count=100, seed=60103):
@@ -275,7 +277,7 @@ def test_residual_terms_are_coefficients_times_the_search_columns():
     # does, so a numeric residual term keeps the column's bits
     p = parse_ade("(z+1)*y0*y1^2*y2 + (2*z-1)*y0^2*y1 + y1")
     subject, center, order = parse("exp(sin(z))/(2+z)"), 0.3, 12
-    coeffs = {m: frac_to_series(c, center, order, "numeric") for m, c in p.terms.items()}
+    coeffs = {m: shifted_series(c, center, order, NUMERIC) for m, c in p.terms.items()}
     _, terms = Jet.expanding(subject, EMPTY_ENV, center, "numeric").residual(coeffs, order)
     columns = Jet.expanding(subject, EMPTY_ENV, center, "numeric").monomials(list(coeffs), order)
     for term, c, column in zip(terms, coeffs.values(), columns):

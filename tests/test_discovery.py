@@ -10,7 +10,7 @@ import pytest
 
 from adekit import diffpoly, discovery, scalars
 from adekit.scalars import Frac, GaussianRational, Poly, clear_denominators
-from adekit.series import EXACT, NUMERIC, PowerSeries, poly_to_series
+from adekit.series import EXACT, NUMERIC, PowerSeries
 from adekit.expr import EMPTY_ENV, parse
 from adekit.diffpoly import ade_text, holds_on, mono_of, mono_rank, mono_total_degree, mono_weight
 from adekit.discovery import (
@@ -24,6 +24,8 @@ from adekit.discovery import (
     relation_search,
     snap_scalar,
 )
+
+from test_series import shifted_series
 
 
 def _frac_rows(int_rows):
@@ -370,7 +372,7 @@ def _product_route_rows(series, degree, center):
     """Each column as the series of z^j around the center times s."""
     dom = series[0].domain
     order = min(s.order for s in series)
-    zpows = [poly_to_series(Poly.var("z") ** j, center, order, dom) for j in range(degree + 1)]
+    zpows = [shifted_series(Frac(Poly.var("z") ** j), center, order, dom) for j in range(degree + 1)]
     columns = [zp * s for s in series for zp in zpows]
     return [[col.coeffs[i] for col in columns] for i in range(order + 1)]
 
@@ -571,16 +573,19 @@ def test_find_ade_expands_once_per_increase_of_the_solve_order(monkeypatch):
     # derivative of the subject at weight 1 and two at weight 2: the
     # expansion grows at the first, second and fourth, and the others read
     # truncations; the check in holds_on expands on its own, at the verify
-    # order 24 plus two derivatives
+    # order 24 plus two derivatives; the expansions of the equation's
+    # coefficients there are not the subject's and are not counted
     orders = []
     expand = diffpoly.expand_series
+    searched = parse("sin(z)")
 
     def counting(subject, center, order, **kw):
-        orders.append(order)
+        if subject is searched:
+            orders.append(order)
         return expand(subject, center, order, **kw)
 
     monkeypatch.setattr(diffpoly, "expand_series", counting)
-    out = find_ade(parse("sin(z)"), EMPTY_ENV, max_degree=2, max_coeff_degree=1)
+    out = find_ade(searched, EMPTY_ENV, max_degree=2, max_coeff_degree=1)
     assert orders == [14, 17, 21, 26]
     assert ade_text(out.ade) == "y2 + y0"
     assert out.found_at == (2, 1, 0)

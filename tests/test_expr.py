@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from adekit.scalars import Frac, GaussianRational, Poly, frac_str
+from adekit.scalars import Frac, GaussianRational, Poly, frac_str, frac_value
+from adekit.series import NUMERIC
 from adekit.expr import (
     Compose,
     DefinitionEnvironment,
@@ -42,7 +43,7 @@ from adekit.expr import (
 from adekit.expr import _OPERANDS, _postorder
 
 from test_growth import one_sample, pair_value
-from test_series import close_to
+from test_series import close_to, shifted_series
 
 # ---------------------------------------------------------------------------
 # random expression generator (smart constructors keep trees in printed form)
@@ -411,6 +412,58 @@ def test_frac_expression_roundtrip():
 def test_frac_of_expression_rejects_transcendental():
     with pytest.raises(ExprError):
         frac_of_expression(parse("exp(z)"))
+
+
+def _rand_poly(rng, atoms, rational):
+    z = Poly.var("z")
+    p = Poly.zero()
+    for _ in range(rng.randint(1, 2)):
+        re, im = rng.randint(-3, 3), rng.randint(-3, 3)
+        if rational:
+            re, im = Fraction(re, rng.randint(1, 4)), Fraction(im, rng.randint(1, 4))
+        term = Poly.const(GaussianRational(re, im)) * z ** rng.randint(0, 3)
+        for a in atoms:
+            term = term * a ** rng.randint(0, 1)
+        p = p + term
+    return p
+
+
+def test_rational_functions_expand_as_the_binomial_reference():
+    # holds_on expands each coefficient of an equation through its
+    # expression, whose adjoined constants are reparsed from their keys:
+    # they must come back as the same symbols with the same values
+    rng = random.Random(2301)
+    consts = [scalar_of(parse(t)).num for t in ("exp(1/4)", "sin(1/4)")]
+    rings = [([], True), ([Poly.var("pi")], False), (consts, True)]
+    centers = [Frac.of(0), Frac.of(Fraction(1, 4)), Frac.of(GaussianRational(1, 1))]
+    order = 5
+    checked = 0
+    for atoms, rational in rings:
+        for _ in range(6):
+            num, den = _rand_poly(rng, atoms, rational), _rand_poly(rng, atoms, rational)
+            if den.is_zero():
+                continue
+            f = Frac(num, den)
+            e = expression_of_frac(f)
+            for center in centers:
+                try:
+                    want = shifted_series(f, center, order)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        expand_series(e, center, order)
+                    continue
+                assert expand_series(e, center, order) == want, (to_text(e), frac_str(center))
+                point = frac_value(center)
+                got = expand_series(e, point, order, mode="numeric")
+                assert close_to(got, shifted_series(f, point, order, NUMERIC)), to_text(e)
+                checked += 1
+    assert checked >= 40
+
+
+def test_a_pole_of_a_rational_function_at_the_center_divides_by_zero():
+    e = expression_of_frac(Frac(Poly.one(), Poly.var("z")))
+    with pytest.raises(ZeroDivisionError, match="series with zero constant term"):
+        expand_series(e, Frac.of(0), 4)
 
 
 # ---------------------------------------------------------------------------

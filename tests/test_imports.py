@@ -203,6 +203,14 @@ def test_only_series_composes():
     assert not callers, "series composed outside series: " + ", ".join(callers)
 
 
+def test_the_series_module_knows_no_variable():
+    # a series is coefficients around an unnamed center; expanding
+    # anything written in z belongs to expr.expand_series
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    named = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "z"]
+    assert not named, f"series.py names the variable z at lines {named}"
+
+
 # Definitions that only code outside the package calls, with that caller.
 OUTSIDE_CALLERS = {
     "series.PowerSeries.compose": "bench/tracer.py traces it as the series.compose layer",

@@ -417,6 +417,31 @@ def test_residues_are_a_ring_homomorphism(ring):
     assert residues([Frac.of(GaussianRational(0, 1)), PI]) == [scalars._MOD_I, scalars._residue("pi")]
 
 
+def _per_term_residue(q):
+    """The image of q in F_p with each term's denominator inverted on its
+    own: the reference for the one inverse per polynomial of residues."""
+    p = scalars.MOD_P
+    acc = 0
+    for mono, c in q.terms.items():
+        t = c.re.numerator * c.im.denominator + c.im.numerator * c.re.denominator * scalars._MOD_I
+        t = t * pow(c.re.denominator * c.im.denominator, -1, p)
+        for name, e in mono:
+            t = t * pow(scalars._residue(name), e, p) % p
+        acc += t
+    return acc % p
+
+
+@pytest.mark.parametrize("ring", sorted(_IMAGE_RINGS))
+def test_residues_are_the_term_by_term_image(ring):
+    p = scalars.MOD_P
+    rng = random.Random(2301 + sorted(_IMAGE_RINGS).index(ring))
+    draw = _IMAGE_RINGS[ring]
+    for _ in range(60):
+        xs = [draw(rng) for _ in range(3)]
+        want = [_per_term_residue(x.num) * pow(_per_term_residue(x.den), -1, p) % p for x in xs]
+        assert residues(xs) == want
+
+
 def test_a_denominator_that_vanishes_mod_p_has_no_image():
     # a Gaussian-rational denominator p, and pi minus its own residue
     vanishing = (
