@@ -116,7 +116,9 @@ def _bareiss(mat):
         for i in range(r + 1, m):
             q = mat[i][col]
             for j in range(col + 1, n):
-                mat[i][j] = poly_exact_div(p * mat[i][j] - q * mat[r][j], prev)
+                e = p * mat[i][j] - q * mat[r][j]
+                # the first step's prev is 1, which divides nothing
+                mat[i][j] = e if prev.is_one() else poly_exact_div(e, prev)
             mat[i][col] = Poly.zero()
         prev = p
         pivots.append((r, col))

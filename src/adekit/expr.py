@@ -831,18 +831,30 @@ def _expand(e, z: PowerSeries) -> PowerSeries:
             v = vals[ops[0]] ** node.exponent
         elif t is Exp:
             u0, tail = _split_const(vals[ops[0]])
-            v = series_exp(tail).scale(dom.exp(u0))
+            v = _scaled(series_exp(tail), dom.exp(u0))
         elif t is Sin or t is Cos:
             u0, tail = _split_const(vals[ops[0]])
             s, c = series_sin_cos(tail)
             s0, c0 = dom.sin(u0), dom.cos(u0)
-            v = s.scale(c0) + c.scale(s0) if t is Sin else c.scale(c0) - s.scale(s0)
+            v = _scaled(s, c0) + _scaled(c, s0) if t is Sin else _scaled(c, c0) - _scaled(s, s0)
         elif t is Compose:
             v = _expand(node.outer, vals[ops[0]])
         else:
             raise TypeError(f"not a closed expression node: {node!r}")
         vals.append(v)
     return vals[-1]
+
+
+def _scaled(s: PowerSeries, c) -> PowerSeries:
+    """s times the constant c.  An exact 1 or 0 takes no product per
+    coefficient; a numeric 1+0j still multiplies, since that product can
+    flip a signed zero."""
+    if isinstance(c, Frac):
+        if c.is_one():
+            return s
+        if c.is_zero():
+            return PowerSeries.zero(s.order, s.domain)
+    return s.scale(c)
 
 
 def _split_const(s: PowerSeries):

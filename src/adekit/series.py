@@ -18,6 +18,12 @@ The product is the domain's too.  An exact product whose coefficients
 adjoined constants over them) is a convolution of ints, normalized once per
 output coefficient; a factor with a polynomial denominator, such as
 1/(2+exp(z)) at 1/4, and every numeric product take the coefficient loop.
+The recurrences of :func:`series_exp` and :func:`series_sin_cos` and the
+quotient of :meth:`PowerSeries.__truediv__` are the domain's as well: when
+every exact coefficient is a Gaussian rational, each new coefficient is
+one sum of int products, reduced once.  An adjoined constant (pi*z) or a
+polynomial denominator in any coefficient, and every numeric series, take
+the coefficient loop.
 """
 
 from __future__ import annotations
@@ -96,6 +102,50 @@ class Domain:
                 s = s + a[j] * b[k - j]
             out.append(s)
         return out
+
+    def _exp_series(self, a) -> list:
+        """Coefficients of exp of the zero-constant-term coefficients a,
+        via e' = a'e (see :func:`series_exp`)."""
+        slopes = _slopes(self, a)
+        out = [self.one]
+        for k in range(1, len(a)):
+            s = self.zero
+            for j, ja in slopes:
+                if j > k:
+                    break
+                s = s + ja * out[k - j]
+            out.append(s * (self.one / k))
+        return out
+
+    def _sin_cos_series(self, a) -> tuple:
+        """Coefficients of (sin a, cos a) via s' = a'c and c' = -a's (see
+        :func:`series_sin_cos`)."""
+        slopes = _slopes(self, a)
+        s = [self.zero]
+        c = [self.one]
+        for k in range(1, len(a)):
+            accs = self.zero
+            accc = self.zero
+            for j, ja in slopes:
+                if j > k:
+                    break
+                accs = accs + ja * c[k - j]
+                accc = accc + ja * s[k - j]
+            factor = self.one / k
+            s.append(accs * factor)
+            c.append(-accc * factor)
+        return s, c
+
+    def _quotient(self, a, b, n: int) -> list:
+        """Coefficients 0..n of a/b for a nonsingular b_0."""
+        inv0 = self.one / b[0]
+        q = []
+        for k in range(n + 1):
+            s = a[k]
+            for j in range(k):
+                s = s - q[j] * b[k - j]
+            q.append(s * inv0)
+        return q
 
 
 class ExactDomain(Domain):
@@ -195,6 +245,48 @@ class ExactDomain(Domain):
             out.append(Frac(Poly._raw(poly), _normalized=True) if poly else FRAC_ZERO)
         return out
 
+    # The recurrences on integers when every coefficient is a Gaussian
+    # rational: each coefficient is an int triple (re, im, den), each new one
+    # is one _gaussian_step, and the loop's normal form is built at the end.
+
+    def _exp_series(self, a) -> list:
+        t = _gaussian_triples(a)
+        if t is None:
+            return super()._exp_series(a)
+        d, slopes = _over_one_denominator(t)
+        slopes = [(j, j * re, j * im) for j, re, im in slopes]
+        out = [(1, 0, 1)]
+        for k in range(1, len(a)):
+            out.append(_gaussian_step(slopes, out, k, (1, 0, d * k)))
+        return list(map(_frac_of_triple, out))
+
+    def _sin_cos_series(self, a) -> tuple:
+        t = _gaussian_triples(a)
+        if t is None:
+            return super()._sin_cos_series(a)
+        d, slopes = _over_one_denominator(t)
+        slopes = [(j, j * re, j * im) for j, re, im in slopes]
+        s, c = [(0, 0, 1)], [(1, 0, 1)]
+        for k in range(1, len(a)):
+            s.append(_gaussian_step(slopes, c, k, (1, 0, d * k)))
+            c.append(_gaussian_step(slopes, s, k, (-1, 0, d * k)))
+        return list(map(_frac_of_triple, s)), list(map(_frac_of_triple, c))
+
+    def _quotient(self, a, b, n: int) -> list:
+        ta, tb = _gaussian_triples(a[: n + 1]), _gaussian_triples(b[: n + 1])
+        if ta is None or tb is None:
+            return super()._quotient(a, b, n)
+        d, slopes = _over_one_denominator(tb)
+        slopes = [(j, -re, -im) for j, re, im in slopes]
+        # q_k = (a_k - sum_j b_j q_(k-j)) / b_0, the sum over d, and
+        # 1/(d*b_0) = bd*(br - i*bi) / (d*(br^2 + bi^2))
+        br, bi, bd = tb[0]
+        inv0 = (br * bd, -bi * bd, d * (br * br + bi * bi))
+        q = []
+        for k, (re, im, den) in enumerate(ta):
+            q.append(_gaussian_step(slopes, q, k, inv0, first=(d * re, d * im, den)))
+        return list(map(_frac_of_triple, q))
+
     def max_abs(self, coeffs):
         raise SeriesError("max_abs is a numeric-mode helper")
 
@@ -285,6 +377,62 @@ def _gaussian_integer_terms(coeffs):
         return x.numerator * (d // x.denominator)
 
     return d, [[(m, scaled(g.re), scaled(g.im)) for m, g in c.num.terms.items()] for c in coeffs]
+
+
+def _gaussian_triples(coeffs):
+    """Each Gaussian-rational coefficient as ints (re, im, den), den > 0,
+    or None when one holds an adjoined constant or has a polynomial
+    denominator."""
+    out = []
+    for c in coeffs:
+        terms = c.num.terms
+        # the monomial () is the only falsy one
+        if any(terms) or not c.den.is_one():
+            return None
+        if not terms:
+            out.append((0, 0, 1))
+            continue
+        g = terms[()]
+        re, im = g.re, g.im
+        d = math.lcm(re.denominator, im.denominator)
+        out.append((re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d))
+    return out
+
+
+def _over_one_denominator(triples):
+    """A common denominator d of the triples 1.., and the nonzero ones
+    times d as (j, re, im), ascending in j."""
+    d = math.lcm(*(t[2] for t in triples[1:]))
+    return d, [(j, re * (d // den), im * (d // den)) for j, (re, im, den) in enumerate(triples) if j and (re or im)]
+
+
+def _gaussian_step(slopes, seq, k, scale, first=None):
+    """first + the sum of (sr + si*i) * seq[k-j] over the slopes (j, sr, si)
+    with j <= k, times (mr + mi*i)/md for the scale (mr, mi, md), as a
+    reduced triple: the terms go over the lcm of their denominators, the
+    int products are added, and the result is reduced once, by
+    gcd(re, im, den)."""
+    terms = [(sr, si, seq[k - j]) for j, sr, si in slopes if j <= k]
+    if first is not None:
+        terms.append((1, 0, first))
+    d = math.lcm(*(t[2][2] for t in terms))
+    re = im = 0
+    for sr, si, (qr, qi, qd) in terms:
+        m = d // qd
+        re += (sr * qr - si * qi) * m
+        im += (sr * qi + si * qr) * m
+    mr, mi, md = scale
+    re, im, d = re * mr - im * mi, re * mi + im * mr, d * md
+    g = math.gcd(re, im, d)
+    return (re // g, im // g, d // g)
+
+
+def _frac_of_triple(t) -> Frac:
+    """The normalized fraction (re + im*i)/den of a triple."""
+    re, im, d = t
+    if not (re or im):
+        return FRAC_ZERO
+    return Frac(Poly._raw({(): GaussianRational._raw(Fraction(re, d), Fraction(im, d))}), _normalized=True)
 
 
 EXACT = ExactDomain()
@@ -389,18 +537,9 @@ class PowerSeries:
         self._check(other)
         dom = self.domain
         n = min(self.order, other.order)
-        b0 = other.coeffs[0]
-        if dom.is_singular(b0):
+        if dom.is_singular(other.coeffs[0]):
             raise ZeroDivisionError(f"series division by a {dom.singular}")
-        inv0 = dom.one / b0
-        a, b = self.coeffs, other.coeffs
-        q = []
-        for k in range(n + 1):
-            s = a[k]
-            for j in range(k):
-                s = s - q[j] * b[k - j]
-            q.append(s * inv0)
-        return PowerSeries(dom, q)
+        return PowerSeries(dom, dom._quotient(self.coeffs, other.coeffs, n))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -445,17 +584,7 @@ def series_exp(a: PowerSeries) -> PowerSeries:
     make the sum nan, is skipped with them (the inf still makes the result
     fail the numeric domain's finiteness check)."""
     _require_zero_const(a, "exp")
-    dom = a.domain
-    slopes = _slopes(a)
-    out = [dom.one]
-    for k in range(1, a.order + 1):
-        s = dom.zero
-        for j, ja in slopes:
-            if j > k:
-                break
-            s = s + ja * out[k - j]
-        out.append(s * (dom.one / k))
-    return PowerSeries(dom, out)
+    return PowerSeries(a.domain, a.domain._exp_series(a.coeffs))
 
 
 def series_sin_cos(a: PowerSeries) -> tuple:
@@ -463,29 +592,14 @@ def series_sin_cos(a: PowerSeries) -> tuple:
     s' = a'c and c' = -a's.  Exact zeros of a are skipped as in
     :func:`series_exp`, with the same 0*inf edge."""
     _require_zero_const(a, "sin/cos")
-    dom = a.domain
-    slopes = _slopes(a)
-    s = [dom.zero]
-    c = [dom.one]
-    for k in range(1, a.order + 1):
-        accs = dom.zero
-        accc = dom.zero
-        for j, ja in slopes:
-            if j > k:
-                break
-            accs = accs + ja * c[k - j]
-            accc = accc + ja * s[k - j]
-        factor = dom.one / k
-        s.append(accs * factor)
-        c.append(-accc * factor)
-    return PowerSeries(dom, s), PowerSeries(dom, c)
+    s, c = a.domain._sin_cos_series(a.coeffs)
+    return PowerSeries(a.domain, s), PowerSeries(a.domain, c)
 
 
-def _slopes(a: PowerSeries) -> list:
+def _slopes(dom: Domain, a) -> list:
     """The pairs (j, j*a_j) of a' for the nonzero a_j, ascending in j:
     each product once, associated as the recurrences always formed it."""
-    dom = a.domain
-    return [(j, a.coeffs[j] * j) for j in range(1, a.order + 1) if not dom.is_zero(a.coeffs[j])]
+    return [(j, a[j] * j) for j in range(1, len(a)) if not dom.is_zero(a[j])]
 
 
 def _require_zero_const(a: PowerSeries, what: str):

@@ -247,6 +247,28 @@ def _bareiss_of(rows):
     return discovery._bareiss([clear_denominators(r) for r in rows])
 
 
+def test_bareiss_never_divides_by_one(monkeypatch):
+    # the first step's prev is 1, and a division by it would change nothing
+    divisions = {"all": 0, "by one": 0}
+    div = discovery.poly_exact_div
+
+    def counted(a, b):
+        divisions["all"] += 1
+        divisions["by one"] += b.is_one()
+        return div(a, b)
+
+    monkeypatch.setattr(discovery, "poly_exact_div", counted)
+    rng = random.Random(2402)
+    for trial in range(24):
+        kind = "gaussian" if trial % 2 else "pi"
+        m, n = rng.randint(3, 5), rng.randint(3, 5)
+        rows = [[_rand_entry(rng, kind) for _ in range(n)] for _ in range(m)]
+        basis, rank = _bareiss_of(rows)
+        assert rank == _reference_rank(rows) and len(basis) == n - rank
+        assert all(_annihilates(v, rows) for v in basis)
+    assert divisions["all"] > 0 and divisions["by one"] == 0
+
+
 def test_full_rank_mod_p_skips_elimination(paths):
     pi, one = Frac.var("pi"), Frac.of(1)
     rows = [[pi, one, Frac.of(0)], [one, pi, one], [pi * pi, one, pi + one], [one, one, one]]

@@ -357,6 +357,154 @@ def test_elementary_recurrences_make_linearly_many_products(monkeypatch):
         assert counts[40] <= 4 * 40 + 1, (f.__name__, counts)
 
 
+def test_elementary_loops_make_linearly_many_products(monkeypatch):
+    # the companion of the test above on an adjoined constant, which keeps
+    # the coefficient loop: (2+i+pi)*z
+    calls = {"mul": 0}
+    mul = Frac.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Frac, "__mul__", counted)
+    slope = Frac.of(GaussianRational(2, 1)) + Frac.var("pi")
+
+    def products(f, n):
+        a = PowerSeries("exact", [0, slope] + [0] * (n - 1))
+        calls["mul"] = 0
+        f(a)
+        return calls["mul"]
+
+    for f in (series_exp, series_sin_cos):
+        counts = {n: products(f, n) for n in (10, 20, 40)}
+        assert counts[10] > 0, f.__name__
+        assert counts[40] - counts[20] == 2 * (counts[20] - counts[10]), (f.__name__, counts)
+        assert counts[40] <= 4 * 40 + 1, (f.__name__, counts)
+
+
+# The coefficient loops of exp, sin/cos and division, copied here: Gaussian
+# rational coefficients take integer routes, which must give the same
+# values in the same normal form.
+
+
+def _loop_slopes(a):
+    return [(j, a.coeffs[j] * j) for j in range(1, a.order + 1) if not a.coeffs[j].is_zero()]
+
+
+def _loop_exp(a):
+    slopes = _loop_slopes(a)
+    out = [EXACT.one]
+    for k in range(1, a.order + 1):
+        s = EXACT.zero
+        for j, ja in slopes:
+            if j > k:
+                break
+            s = s + ja * out[k - j]
+        out.append(s * (EXACT.one / k))
+    return out
+
+
+def _loop_sin_cos(a):
+    slopes = _loop_slopes(a)
+    s = [EXACT.zero]
+    c = [EXACT.one]
+    for k in range(1, a.order + 1):
+        accs = EXACT.zero
+        accc = EXACT.zero
+        for j, ja in slopes:
+            if j > k:
+                break
+            accs = accs + ja * c[k - j]
+            accc = accc + ja * s[k - j]
+        factor = EXACT.one / k
+        s.append(accs * factor)
+        c.append(-accc * factor)
+    return s, c
+
+
+def _loop_quotient(a, b):
+    n = min(a.order, b.order)
+    inv0 = EXACT.one / b.coeffs[0]
+    q = []
+    for k in range(n + 1):
+        s = a.coeffs[k]
+        for j in range(k):
+            s = s - q[j] * b.coeffs[k - j]
+        q.append(s * inv0)
+    return q
+
+
+def test_gaussian_recurrences_on_integers_are_the_fraction_loops():
+    rng = random.Random(2401)
+
+    def gaussian(bound=4, parts="ri"):
+        def part(p):
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) if p in parts else 0
+
+        return Frac.of(GaussianRational(part("r"), part("i")))
+
+    kinds = {
+        "Q(i), large denominators": lambda: gaussian(10 ** rng.randint(1, 15)),
+        "real": lambda: gaussian(parts="r"),
+        "imaginary": lambda: gaussian(parts="i"),
+    }
+    constants = {
+        "imaginary": lambda: Frac.of(GaussianRational(0, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)))),
+        "mixed": lambda: Frac.of(GaussianRational(Fraction(rng.randint(1, 9), 4), rng.choice([-2, 1, 7]))),
+        "real": lambda: Frac.of(Fraction(rng.choice([-7, -1, 1, 3]), rng.randint(1, 10**12))),
+    }
+
+    def same(got, want, what):
+        assert list(got) == list(want), what
+        assert [frac_str(c) for c in got] == [frac_str(c) for c in want], what
+
+    zero = [Frac.of(0)]
+    for trial in range(150):
+        order = trial % 15
+        kind, const = rng.choice(list(kinds)), rng.choice(list(constants))
+        coeffs = _zero_heavy(rng, order, kinds[kind], zero)
+        a = PowerSeries("exact", zero + coeffs[1:])
+        same(series_exp(a).coeffs, _loop_exp(a), ("exp", kind, order))
+        s, c = series_sin_cos(a)
+        want_s, want_c = _loop_sin_cos(a)
+        same(s.coeffs, want_s, ("sin", kind, order))
+        same(c.coeffs, want_c, ("cos", kind, order))
+        num = PowerSeries("exact", coeffs)
+        den = PowerSeries("exact", [constants[const]()] + _zero_heavy(rng, order, kinds[kind], zero)[1:])
+        same((num / den).coeffs, _loop_quotient(num, den), ("quotient", kind, const, order))
+        # the quotient a/den of a zero-constant-term numerator, and den/den
+        same((a / den).coeffs, _loop_quotient(a, den), ("quotient", kind, const, order))
+        assert (den / den).coeffs == (EXACT.one,) + (EXACT.zero,) * order
+
+
+def test_gaussian_rational_recurrences_make_no_fraction_products(monkeypatch):
+    pi = Frac.var("pi")
+    gaussian = PowerSeries("exact", [0, GaussianRational(Fraction(1, 3), 2), 0, Fraction(-5, 7), GaussianRational(0, 1)])
+    den = PowerSeries("exact", [GaussianRational(0, 2), 1, Fraction(1, 2), 0, 3])
+    over_pi = PowerSeries("exact", [0, pi, 1, 0, pi * pi - 2])
+    pole = PowerSeries("exact", [0, 1, Frac.of(1) / (Frac.of(2) + pi), 0, 1])
+    calls = {"mul": 0}
+    mul = Frac.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Frac, "__mul__", counted)
+    routes = {
+        "exp": series_exp,
+        "sin/cos": series_sin_cos,
+        "numerator": lambda a: a / den,
+        "denominator": lambda a: den / (den + a),
+    }
+    for name, route in routes.items():
+        for a, loop in ((gaussian, False), (over_pi, True), (pole, True)):
+            calls["mul"] = 0
+            route(a)
+            assert (calls["mul"] > 0) == loop, (name, a)
+
+
 def test_shifted_series_binomial_shift():
     # (z)^2 about center 3 reads 9 + 6(z-3) + (z-3)^2
     z = Poly.var("z")
