@@ -239,8 +239,10 @@ def _radii_of(args):
 
 
 def _print_measure(args, env, measure, label: str) -> int:
-    for r in _radii_of(args):
-        value = measure(parse(args.subject, env), env, r, args.samples)
+    radii = _radii_of(args)
+    subject = parse(args.subject, env)
+    for r in radii:
+        value = measure(subject, env, r, args.samples)
         print(f"{label},{r!r},{value!r},{args.samples}")
     return EXIT_OK
 

@@ -10,7 +10,12 @@ infinity and mean-based readings refuse.
 
 A circle is evaluated node by node in blocks of samples: the post-order
 of the expression is folded once per block, and each node's value is a
-list with one (log_abs, angle) pair or OVERFLOW per sample.  Every sample
+list with one (log_abs, angle) pair or OVERFLOW per sample.  Each node
+type has one list kernel (_add_list, _mul_list, _div_list, _pow_list,
+_exp_list, _trig_list), a plain loop over its operands' lists; _exp_list
+computes exp(log_abs) again only when the log modulus changes from one
+sample to the next.  The sample angles are reduced once per sample
+count, in a table that every circle with that count reads.  Every sample
 goes through the same float operations as when it is evaluated alone,
 so no reading depends on the block size.
 """
@@ -19,7 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .expr import (
     Add,
@@ -75,77 +83,161 @@ def _pair_of_complex(w: complex) -> tuple:
     return _pair(math.log(abs(w)), cmath.phase(w))
 
 
-# One sample's arithmetic on (log_abs, angle) pairs that are not OVERFLOW.
+# One list kernel per node type.  Each takes its operands' lists, one
+# entry per sample, and returns the node's list: OVERFLOW stays OVERFLOW,
+# and every other sample goes through the float operations of one value
+# alone, with _pair's normal form written out: the angle reduced by
+# remainder(angle, TAU), or 0.0 when it is not finite.
 
 
-def _lp_add(a: tuple, b: tuple) -> tuple:
-    if a[0] == -math.inf:
-        return b
-    if b[0] == -math.inf:
-        return a
-    # factor out the larger modulus so the residual sum stays in range
-    if b[0] > a[0]:
-        a, b = b, a
-    small = b[0] - a[0]
-    s = cmath.rect(1.0, a[1]) + cmath.rect(math.exp(small) if small > -745.0 else 0.0, b[1])
-    if s == 0:
-        return _ZERO
-    return _pair(a[0] + math.log(abs(s)), cmath.phase(s))
+def _add_list(xs: list, ys: list, negate: bool) -> list:
+    """x + y on each sample, or x - y with negate: y's angle turned by pi
+    and reduced first, as for a negated value."""
+    exp, log, rect, phase, rem, isfinite = math.exp, math.log, cmath.rect, cmath.phase, math.remainder, math.isfinite
+    pi, neg_inf = math.pi, -math.inf
+    out = []
+    append = out.append
+    for a, b in zip(xs, ys):
+        if a is OVERFLOW or b is OVERFLOW:
+            append(OVERFLOW)
+            continue
+        la, ta = a
+        lb, tb = b
+        if negate and lb != neg_inf:
+            tb += pi
+            tb = rem(tb, TAU) if isfinite(tb) else 0.0
+        if la == neg_inf:
+            append((lb, tb))
+            continue
+        if lb == neg_inf:
+            append(a)
+            continue
+        # factor out the larger modulus so the residual sum stays in range
+        if lb > la:
+            la, ta, lb, tb = lb, tb, la, ta
+        small = lb - la
+        s = rect(1.0, ta) + rect(exp(small) if small > -745.0 else 0.0, tb)
+        if s == 0:
+            append(_ZERO)
+            continue
+        t = phase(s)
+        append((la + log(abs(s)), rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
-def _lp_neg(a: tuple) -> tuple:
-    if a[0] == -math.inf:
-        return a
-    return _pair(a[0], a[1] + math.pi)
+def _mul_list(xs: list, ys: list) -> list:
+    rem, isfinite = math.remainder, math.isfinite
+    neg_inf = -math.inf
+    out = []
+    append = out.append
+    for a, b in zip(xs, ys):
+        if a is OVERFLOW or b is OVERFLOW:
+            append(OVERFLOW)
+            continue
+        la, ta = a
+        lb, tb = b
+        if la == neg_inf or lb == neg_inf:
+            append(_ZERO)
+            continue
+        t = ta + tb
+        append((la + lb, rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
-def _lp_mul(a: tuple, b: tuple) -> tuple:
-    if a[0] == -math.inf or b[0] == -math.inf:
-        return _ZERO
-    return _pair(a[0] + b[0], a[1] + b[1])
+def _div_list(xs: list, ys: list) -> list:
+    rem, isfinite = math.remainder, math.isfinite
+    neg_inf = -math.inf
+    out = []
+    append = out.append
+    for a, b in zip(xs, ys):
+        if a is OVERFLOW or b is OVERFLOW:
+            append(OVERFLOW)
+            continue
+        la, ta = a
+        lb, tb = b
+        if lb == neg_inf:
+            raise GrowthError("division by zero during growth evaluation")
+        if la == neg_inf:
+            append(a)
+            continue
+        t = ta - tb
+        append((la - lb, rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
-def _lp_div(a: tuple, b: tuple) -> tuple:
-    if b[0] == -math.inf:
-        raise GrowthError("division by zero during growth evaluation")
-    if a[0] == -math.inf:
-        return a
-    return _pair(a[0] - b[0], a[1] - b[1])
-
-
-_LP_BINARY = {Add: _lp_add, Sub: lambda a, b: _lp_add(a, _lp_neg(b)), Mul: _lp_mul, Div: _lp_div}
-
-
-def _lp_pow(a: tuple, n: int) -> tuple:
+def _pow_list(xs: list, n: int) -> list:
     if n == 0:
-        return _UNIT
-    if a[0] == -math.inf:
-        return a
-    return _pair(n * a[0], n * a[1])
+        return [a if a is OVERFLOW else _UNIT for a in xs]
+    rem, isfinite = math.remainder, math.isfinite
+    neg_inf = -math.inf
+    out = []
+    append = out.append
+    for a in xs:
+        if a is OVERFLOW or a[0] == neg_inf:
+            append(a)
+            continue
+        la, ta = a
+        t = n * ta
+        append((n * la, rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
-def _lp_exp(a: tuple):
-    if a[0] == -math.inf:
-        return _UNIT
-    if a[0] > EXP_LIMIT:
-        return OVERFLOW
-    w = cmath.rect(math.exp(a[0]), a[1])
-    return _pair(w.real, w.imag)
+def _exp_list(xs: list) -> list:
+    exp, rect, rem, isfinite = math.exp, cmath.rect, math.remainder, math.isfinite
+    neg_inf = -math.inf
+    out = []
+    append = out.append
+    # the modulus exp(log_abs) of the last sample: every sample of a
+    # circle's a*z has the same log modulus
+    last, modulus = None, 0.0
+    for a in xs:
+        if a is OVERFLOW:
+            append(a)
+            continue
+        la, ta = a
+        if la == neg_inf:
+            append(_UNIT)
+            continue
+        if la > EXP_LIMIT:
+            append(OVERFLOW)
+            continue
+        if la != last:
+            last, modulus = la, exp(la)
+        w = rect(modulus, ta)
+        t = w.imag
+        append((w.real, rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
-def _lp_trig(a: tuple, fn):
-    if a[0] == -math.inf:
-        w = 0j
-    elif a[0] > EXP_LIMIT:
-        return OVERFLOW
-    else:
-        w = cmath.rect(math.exp(a[0]), a[1])
-    try:
-        v = fn(w)
-    except OverflowError:
-        # |sin w| and |cos w| grow like exp(|Im w|)/2
-        return _pair(abs(w.imag) - math.log(2.0), 0.0)
-    return _pair_of_complex(v)
+def _trig_list(xs: list, fn) -> list:
+    exp, log, rect, phase, rem, isfinite = math.exp, math.log, cmath.rect, cmath.phase, math.remainder, math.isfinite
+    neg_inf = -math.inf
+    out = []
+    append = out.append
+    for a in xs:
+        if a is OVERFLOW:
+            append(a)
+            continue
+        la, ta = a
+        if la == neg_inf:
+            w = 0j
+        elif la > EXP_LIMIT:
+            append(OVERFLOW)
+            continue
+        else:
+            w = rect(exp(la), ta)
+        try:
+            v = fn(w)
+        except OverflowError:
+            # |sin w| and |cos w| grow like exp(|Im w|)/2
+            append((abs(w.imag) - log(2.0), 0.0))
+            continue
+        if v == 0:
+            append(_ZERO)
+            continue
+        t = phase(v)
+        append((log(abs(v)), rem(t, TAU) if isfinite(t) else 0.0))
+    return out
 
 
 # Samples per block of a circle: enough that each node's loop runs long,
@@ -167,20 +259,18 @@ def _eval_block(e: Expression, args: list) -> list:
             v = [_pair_of_complex(node.value.to_complex())] * len(args)
         elif t is PiConst:
             v = [_pair(math.log(math.pi), 0.0)] * len(args)
-        elif t in _LP_BINARY:
-            op = _LP_BINARY[t]
-            v = [
-                OVERFLOW if a is OVERFLOW or b is OVERFLOW else op(a, b)
-                for a, b in zip(vals[ops[0]], vals[ops[1]])
-            ]
+        elif t is Add or t is Sub:
+            v = _add_list(vals[ops[0]], vals[ops[1]], t is Sub)
+        elif t is Mul:
+            v = _mul_list(vals[ops[0]], vals[ops[1]])
+        elif t is Div:
+            v = _div_list(vals[ops[0]], vals[ops[1]])
         elif t is Pow:
-            n = node.exponent
-            v = [a if a is OVERFLOW else _lp_pow(a, n) for a in vals[ops[0]]]
+            v = _pow_list(vals[ops[0]], node.exponent)
         elif t is Exp:
-            v = [a if a is OVERFLOW else _lp_exp(a) for a in vals[ops[0]]]
+            v = _exp_list(vals[ops[0]])
         elif t is Sin or t is Cos:
-            fn = cmath.sin if t is Sin else cmath.cos
-            v = [a if a is OVERFLOW else _lp_trig(a, fn) for a in vals[ops[0]]]
+            v = _trig_list(vals[ops[0]], cmath.sin if t is Sin else cmath.cos)
         elif t is Compose:
             # the outer runs only on the samples whose inner is a number, so
             # an overflowed sample stays OVERFLOW even under a constant outer
@@ -215,17 +305,24 @@ def _check_radius(r: float):
     return r
 
 
+@lru_cache(maxsize=None)
+def _angles(samples: int) -> array:
+    """The angle of every sample of a circle, reduced as _pair reduces it;
+    one table per sample count, under 16 MiB over all the counts allowed."""
+    return array("d", (math.remainder(TAU * k / samples, TAU) for k in range(samples)))
+
+
 def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples: int):
     """log moduli on the circle of radius r; entries may be OVERFLOW."""
     r = _check_radius(r)
     _check_samples(samples)
     closed = inline(f, env)
     log_r = math.log(r)
+    angles = _angles(samples)
     out = []
     for start in range(0, samples, BLOCK_SAMPLES):
-        block = range(start, min(start + BLOCK_SAMPLES, samples))
-        args = [_pair(log_r, TAU * k / samples) for k in block]
-        out.extend(v if v is OVERFLOW else v[0] for v in _eval_block(closed, args))
+        args = list(zip(repeat(log_r), angles[start : start + BLOCK_SAMPLES]))
+        out += [v if v is OVERFLOW else v[0] for v in _eval_block(closed, args)]
     return out
 
 

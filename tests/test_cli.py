@@ -229,6 +229,28 @@ def test_growth_characteristic_golden_rerun(capsys):
     )
 
 
+def test_growth_measure_parses_the_subject_once(capsys, monkeypatch):
+    texts = []
+
+    def counting(text, env=None):
+        texts.append(text)
+        return parse(text, env)
+
+    monkeypatch.setattr(cli, "parse", counting)
+    rc, out, _ = run(
+        capsys, "growth", "max-modulus", "--subject", "z^3", "--radii", "1,2,3", "--samples", "64"
+    )
+    assert rc == 0
+    assert out == (
+        "max_modulus,1.0,1.0,64\n"
+        "max_modulus,2.0,7.999999999999998,64\n"
+        "max_modulus,3.0,27.0,64\n"
+    )
+    # each radius is read once, and the subject once for all of them
+    assert texts.count("z^3") == 1
+    assert sorted(texts) == ["1", "2", "3", "z^3"]
+
+
 def test_growth_baker_scan_found(capsys):
     rc, out, _ = run(
         capsys,

@@ -501,6 +501,12 @@ def test_circles_match_the_per_sample_walker_bit_for_bit():
         ("sin(1000*z) + cos(900*z)", 1.0, 256),
         # division by an exact zero
         ("1/sin(0*z)", 1.0, 64),
+        # an exact zero times OVERFLOW in one product block
+        ("sin(0*z)*exp(exp(exp(exp(z))))", 4.0, 256),
+        # the outer exponential straddles EXP_LIMIT on the circle
+        ("exp(exp(exp(z)))", 7.0, 256),
+        # a characteristic circle of 64 blocks, one angle table
+        ("exp(-2*z)", 8.0, 2**14),
     ],
 )
 def test_fixed_circles_match_the_per_sample_walker(text, r, samples):
