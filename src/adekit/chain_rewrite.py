@@ -15,6 +15,9 @@ produces an equation for g.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from .diffpoly import (
     DiffMono,
     DiffPoly,
@@ -22,7 +25,6 @@ from .diffpoly import (
     Jet,
     diff_mono_text,
     mono_of,
-    mono_order,
     mono_product,
     mono_rank,
     mono_weight,
@@ -38,6 +40,7 @@ from .expr import (
     differentiate,
     div,
     expand_series,
+    expansion_key,
     expression_of_frac,
     inline,
     lit,
@@ -49,37 +52,45 @@ _F1 = FuncRef("f", 1)
 _G1 = FuncRef("g", 1)
 
 
-def derivative_transfer(k: int) -> dict:
-    """Table for f^(k) along g: G-monomial -> coefficient expression.
+# T_0, T_1, ...: each table is built once per process, from the one before
+_TABLES = [MappingProxyType({(1,): ONE})]
+
+
+def derivative_transfer(k: int) -> Mapping:
+    """Table for f^(k) along g: G-monomial -> coefficient expression, as a
+    read-only mapping.
 
     T_0 is G_0 itself; each step differentiates and divides by g', with
     a G-derivative raising the index and costing a factor f'/g'.
     """
     if k < 0:
         raise DiffPolyError("derivative index must be nonnegative")
-    table = {(1,): ONE}
-    for _ in range(k):
-        nxt = {}
-
-        def put(mono: DiffMono, coeff: Expression):
-            if coeff == ZERO:
-                return
-            nxt[mono] = add(nxt[mono], coeff) if mono in nxt else coeff
-
-        for mono, c in table.items():
-            put(mono, div(differentiate(c), _G1))
-            for j, e in enumerate(mono):
-                if not e:
-                    continue
-                bumped = list(mono) + [0] * (j + 2 - len(mono))
-                bumped[j] -= 1
-                bumped[j + 1] += 1
-                put(mono_of(bumped), div(mul(mul(c, lit(e)), _F1), _G1))
-        table = nxt
-    return table
+    while len(_TABLES) <= k:
+        _TABLES.append(MappingProxyType(_next_table(_TABLES[-1])))
+    return _TABLES[k]
 
 
-def _table_product(a: dict, b: dict) -> dict:
+def _next_table(table: Mapping) -> dict:
+    nxt = {}
+
+    def put(mono: DiffMono, coeff: Expression):
+        if coeff == ZERO:
+            return
+        nxt[mono] = add(nxt[mono], coeff) if mono in nxt else coeff
+
+    for mono, c in table.items():
+        put(mono, div(differentiate(c), _G1))
+        for j, e in enumerate(mono):
+            if not e:
+                continue
+            bumped = list(mono) + [0] * (j + 2 - len(mono))
+            bumped[j] -= 1
+            bumped[j + 1] += 1
+            put(mono_of(bumped), div(mul(mul(c, lit(e)), _F1), _G1))
+    return nxt
+
+
+def _table_product(a: Mapping, b: Mapping) -> dict:
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -95,19 +106,12 @@ def transfer_support(p: DiffPoly) -> dict:
     Coefficients of P move inside g (z becomes a reference to g); each
     derivative factor is replaced by its transfer table.
     """
-    tables = {}
-
-    def table(k: int) -> dict:
-        if k not in tables:
-            tables[k] = derivative_transfer(k)
-        return tables[k]
-
     total: dict = {}
     for mono, coeff in p.terms.items():
         acc = {(): expression_of_frac(coeff, FuncRef("g"))}
         for k, e in enumerate(mono):
             for _ in range(e):
-                acc = _table_product(acc, table(k))
+                acc = _table_product(acc, derivative_transfer(k))
         for m, c in acc.items():
             total[m] = add(total[m], c) if m in total else c
     return {m: c for m, c in total.items() if c != ZERO}
@@ -122,7 +126,7 @@ def max_support_weight(support: dict) -> int:
     return max((mono_weight(m) for m in support), default=0)
 
 
-def table_text(table: dict) -> str:
+def table_text(table: Mapping) -> str:
     """Display form of a transfer table, heaviest monomial first."""
     parts = []
     for mono in sorted(table, key=mono_rank, reverse=True):
@@ -133,32 +137,48 @@ def table_text(table: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def bound_pair(f_expr: Expression, g_expr: Expression, env: DefinitionEnvironment) -> DefinitionEnvironment:
+class BoundPair(DefinitionEnvironment):
+    """A frozen environment binding the reserved names f and g to a pair.
+    Besides the series of f and g, it keeps, for the latest expansion key,
+    one Jet of the stack G_0, G_1, ..., which grows one G_j at a time and
+    keeps its monomial columns for every rewrite on that key."""
+
+    def __init__(self, f_body: Expression, g_body: Expression):
+        super().__init__()
+        self.define("f", f_body)
+        self.define("g", g_body)
+        self.freeze()
+        self._stack_key = self._stack = None
+
+    def g_stack(self, center, order: int, mode) -> Jet:
+        """The Jet of G_j = g^(j) at f(z) around center through order."""
+        key = expansion_key(center, order, mode)
+        if key != self._stack_key:
+            # the composition expands the reference g^(j) with z bound to
+            # the series of f, like any other composition
+            def build(j):
+                return expand_series(Compose(FuncRef("g", j), FuncRef("f")), center, order, mode=mode, env=self)
+
+            self._stack_key, self._stack = key, Jet([], build=build)
+        return self._stack
+
+
+def bound_pair(f_expr: Expression, g_expr: Expression, env: DefinitionEnvironment) -> BoundPair:
     """Environment binding the reserved names used by transfer coefficients."""
-    bound = DefinitionEnvironment()
-    bound.define("f", inline(f_expr, env))
-    bound.define("g", inline(g_expr, env))
-    bound.freeze()
-    return bound
+    return BoundPair(inline(f_expr, env), inline(g_expr, env))
 
 
-def transfer_residual(support: dict, bound: DefinitionEnvironment, center, order: int, mode: str = "exact"):
+def transfer_residual(support: dict, bound: BoundPair, center, order: int, mode: str = "exact"):
     """Series of the transferred identity; zero when f and g commute and
     P[f] vanishes."""
     return _transfer_terms(support, bound, center, order, mode)[0]
 
 
-def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: int, mode):
-    """Jet.residual of the support on the stack G_0..G_depth."""
-    # G_j = g^(j) at f(z): the composition expands the reference g^(j)
-    # with z bound to the series of f, like any other composition
-    depth = max(map(mono_order, support), default=0)
-    gs = [
-        expand_series(Compose(FuncRef("g", j), FuncRef("f")), center, order, mode=mode, env=bound)
-        for j in range(depth + 1)
-    ]
+def _transfer_terms(support: dict, bound: BoundPair, center, order: int, mode):
+    """Jet.residual of the support on the pair's stack G_0..G_depth; the
+    coefficients read the pair's series of f and g."""
     coeffs = {m: expand_series(c, center, order, mode=mode, env=bound) for m, c in support.items()}
-    return Jet(gs).residual(coeffs, order)
+    return bound.g_stack(center, order, mode).residual(coeffs, order)
 
 
 def verify_transfer(

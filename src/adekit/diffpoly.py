@@ -280,15 +280,18 @@ class Jet:
     center, with every power and differential monomial of them, each built
     once and shared by the searches' columns and the checks' residuals.
 
-    ``Jet(ys)`` holds a given stack and cannot grow.  ``Jet.expanding``
-    owns one subject's expansion: it re-expands only when a caller needs
-    more coefficients than it holds, to exactly that need, dropping the
-    monomials, and takes derivatives on demand.  Callers read truncations:
-    a product truncates, so they are the series an expansion at the
-    caller's own order would give."""
+    ``Jet(ys)`` holds a given stack and cannot grow.  ``Jet([], expand)``
+    owns one expansion, ``expand(order)``, as ``Jet.expanding`` does for a
+    subject: it re-expands only when a caller needs more coefficients than
+    it holds, to exactly that need, dropping the monomials, and takes
+    derivatives on demand.  ``Jet([], build=build)`` holds a stack whose
+    members are not each other's derivatives: it builds y_j as
+    ``build(j)`` when a caller first needs it, and keeps its monomials.
+    Callers read truncations: a product truncates, so they are the series
+    an expansion at the caller's own order would give."""
 
-    def __init__(self, ys, expand=None):
-        self._ys, self._expand, self._monos = list(ys), expand, {}
+    def __init__(self, ys, expand=None, build=None):
+        self._ys, self._expand, self._build, self._monos = list(ys), expand, build, {}
 
     @classmethod
     def expanding(cls, subject, env, center, mode) -> "Jet":
@@ -303,6 +306,9 @@ class Jet:
                 self._monos = {}
             while len(ys) <= depth:
                 ys.append(ys[-1].derivative())
+        elif self._build is not None:
+            while len(ys) <= depth:
+                ys.append(self._build(len(ys)))
         if depth >= len(ys) or min(y.order for y in ys[: depth + 1]) < order:
             raise DiffPolyError("derivative stack is too short for this request")
         return [y.truncate(order) for y in ys[: depth + 1]]

@@ -11,9 +11,15 @@ user grammar: a derivative order on named references (``f''`` produced by
 expression (produced by inlining iterates).
 
 Names are resolved in one place: :func:`inline` is the only reader of a
-definition environment.  :func:`expand_series` and :func:`eval_numeric`
+definition environment.  :func:`eval_numeric` and the log-polar walker
 inline once and then walk a closed tree, without named references or
-iterates.
+iterates.  :func:`expand_series` inlines only the outers of compositions
+and the iterates, which it composes by substitution.  A reference f^(n)
+read at z stays a leaf: its series is the n-th derivative of one
+expansion of f's inlined body, taken through the order of the expansion
+plus the highest n the expression reads.  A frozen environment keeps
+those series for its latest center, order and domain, so the calls that
+share them expand each body once.
 
 Every walker, the log-polar block walker of :mod:`adekit.growth` included,
 is one loop over the same post-order: the distinct subtrees of an
@@ -302,11 +308,14 @@ _RESERVED = {"z", "i", "pi", "exp", "sin", "cos", "iter"}
 
 class DefinitionEnvironment:
     """Ordered named definitions; a name may only use earlier names, which
-    rules out cycles by construction."""
+    rules out cycles by construction.  Once frozen, the environment keeps
+    the series of its definitions for the latest expansion key (see
+    :func:`expand_series`); a new key replaces them."""
 
     def __init__(self):
         self._defs: dict = {}
         self._frozen = False
+        self._memo = None
 
     def define(self, name: str, body: Expression):
         if self._frozen:
@@ -657,6 +666,12 @@ def nth_derivative(e: Expression, n: int) -> Expression:
 
 def inline(e: Expression, env: DefinitionEnvironment) -> Expression:
     """Resolve every named reference and iterate to a closed expression."""
+    return _substitute(e, env, lambda node: nth_derivative(inline(env.lookup(node.name), env), node.order))
+
+
+def _substitute(e: Expression, env: DefinitionEnvironment, reference) -> Expression:
+    """e with each composition's outer and each iterate inlined, and each
+    reference read at z replaced by reference(node)."""
     out = []
     for node, ops in e._subtrees:
         t = type(node)
@@ -667,7 +682,7 @@ def inline(e: Expression, env: DefinitionEnvironment) -> Expression:
         elif t is Pow:
             v = pow_(out[ops[0]], node.exponent)
         elif t is FuncRef:
-            v = nth_derivative(inline(env.lookup(node.name), env), node.order)
+            v = reference(node)
         elif t is Compose:
             v = Compose(inline(node.outer, env), out[ops[0]])
         elif t is Iterate:
@@ -798,29 +813,94 @@ def expand_series(
     In exact mode the center is a scalar :class:`Frac` (or anything
     coercible); values of exp/sin/cos at nonzero constants are adjoined as
     symbols subject to the quarter-period rule.  In numeric mode the center
-    is complex and everything is floating point.  Named references and
-    iterates are inlined from env first.
+    is complex and everything is floating point.  Iterates and the outers
+    of compositions are inlined from env; a reference f^(n) read at z is
+    the n-th derivative of f's series, which a frozen env keeps for the
+    latest :func:`expansion_key`.
     """
     if order < 0:
         raise ExprError("expansion order must be nonnegative")
+    dom = _domain(mode)
+    env = env if env is not None else EMPTY_ENV
+    resolved = _substitute(e, env, lambda node: node)
+    z = _z_series(dom, dom.center(center), order)
+    refs = {(node.name, node.order) for node, _ in resolved._subtrees if type(node) is FuncRef}
+    if refs:
+        key = expansion_key(center, order, dom)
+        if env._memo is None or env._memo.key != key:
+            memo = _Expansions(key, env, z)
+            if env._frozen:
+                env._memo = memo
+        else:
+            memo = env._memo
+        refs = memo.reads(refs)
+    return _expand(resolved, z, refs)
+
+
+def expansion_key(center, order: int, mode) -> tuple:
+    """What an expansion around center through order shares with another
+    besides its expression: the domain, the order and the center's printed
+    form, which tells apart the numeric centers 0.0 and -0.0."""
+    dom = _domain(mode)
+    return dom, order, dom.text(dom.coeff(dom.center(center)))
+
+
+def _domain(mode) -> Domain:
     try:
-        dom = Domain.of(mode)
+        return Domain.of(mode)
     except SeriesError:
         raise ExprError(f"unknown mode {mode!r}") from None
-    closed = inline(e, env if env is not None else EMPTY_ENV)
-    z = PowerSeries(dom, ([dom.center(center), dom.one] + [dom.zero] * (order - 1))[: order + 1])
-    return _expand(closed, z)
 
 
-def _expand(e, z: PowerSeries) -> PowerSeries:
-    """Fold e with Var bound to the series z; a composition folds its
-    outer with z bound to its inner's series."""
+def _z_series(dom: Domain, c, order: int) -> PowerSeries:
+    return PowerSeries(dom, ([c, dom.one] + [dom.zero] * (order - 1))[: order + 1])
+
+
+class _Expansions:
+    """The series that references f^(n) read at z, for expansions around
+    one center through one order.  Each definition's inlined body is
+    expanded once, in a Jet grown as far as the highest n read so far; a
+    higher n re-expands it."""
+
+    def __init__(self, key: tuple, env: DefinitionEnvironment, z: PowerSeries):
+        self.key = key
+        self._env, self._z, self._jets, self._reads = env, z, {}, {}
+
+    def reads(self, refs) -> dict:
+        """(name, n) -> series of f^(n) through the key's order, for each
+        (name, n) of refs."""
+        from .diffpoly import Jet
+
+        order = self._z.order
+        depth = {}
+        for name, n in refs:
+            depth[name] = max(depth.get(name, 0), n)
+        for name, n in depth.items():
+            if (name, n) not in self._reads:
+                if name not in self._jets:
+                    self._jets[name] = Jet([], lambda m, name=name: _expand_definition(self._env, name, self._z, m))
+                for k, y in enumerate(self._jets[name].stack(n, order)):
+                    self._reads.setdefault((name, k), y)
+        return {ref: self._reads[ref] for ref in refs}
+
+
+def _expand_definition(env: DefinitionEnvironment, name: str, z: PowerSeries, order: int) -> PowerSeries:
+    """The series of name's inlined body through order, around z's center."""
+    return _expand(inline(FuncRef(name), env), _z_series(z.domain, z.coeffs[0], order))
+
+
+def _expand(e, z: PowerSeries, refs=None) -> PowerSeries:
+    """Fold e with Var bound to the series z and each reference at z to its
+    series in refs; a composition folds its outer with z bound to its
+    inner's series."""
     dom, order = z.domain, z.order
     vals = []
     for node, ops in e._subtrees:
         t = type(node)
         if t is Var:
             v = z
+        elif t is FuncRef:
+            v = refs[node.name, node.order]
         elif t is Lit:
             v = PowerSeries.constant(dom.literal(node.value), order, dom)
         elif t is PiConst:

@@ -327,20 +327,23 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
 
 
 def _log_max(values: list) -> float:
-    if any(v is OVERFLOW for v in values):
+    # a circle has at least 64 samples, so max compares every one of them,
+    # and OVERFLOW, which has no order, makes that comparison raise
+    try:
+        return max(values)
+    except TypeError:
         return math.inf
-    return max(values)
 
 
 def _characteristic(values: list, r: float) -> float:
     total = 0.0
-    for v in values:
-        if v is OVERFLOW:
-            raise GrowthError(
-                f"modulus overflows float range on the circle r={r}; reduce the radius"
-            )
-        if v > 0.0:
-            total += v
+    try:
+        for v in values:
+            if v > 0.0:
+                total += v
+    except TypeError:
+        # only OVERFLOW fails the comparison with 0.0
+        raise GrowthError(f"modulus overflows float range on the circle r={r}; reduce the radius") from None
     return total / len(values)
 
 

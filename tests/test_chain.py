@@ -70,6 +70,13 @@ def test_table_two_closed_form():
     assert table_text(t) == "(f'/g'*f'/g')*G2 + ((f''*g'-f'*g'')/g'^2/g')*G1"
 
 
+def test_tables_are_built_once_and_read_only():
+    t = derivative_transfer(3)
+    assert derivative_transfer(3) is t
+    with pytest.raises(TypeError):
+        t[(1,)] = ZERO
+
+
 def test_table_weights_bounded_by_index():
     for k in range(6):
         t = derivative_transfer(k)
@@ -176,6 +183,18 @@ def _residual_by_expressions(support, bound, center, order, mode="exact"):
     return total
 
 
+def _pair(f_text, g_text):
+    env = DefinitionEnvironment()
+    env.define_text("f", f_text)
+    env.define_text("g", g_text)
+    return env
+
+
+def _bound(f_text, g_text):
+    env = _pair(f_text, g_text)
+    return bound_pair(parse("f", env), parse("g", env), env)
+
+
 @pytest.mark.parametrize(
     "f_text,g_text,center",
     [("z^2", "z^4", Frac.of(1)), ("z+exp(z)", "z+2*pi*i+exp(z)", Frac.of(0))],
@@ -184,19 +203,77 @@ def _residual_by_expressions(support, bound, center, order, mode="exact"):
 def test_transfer_residual_matches_expression_route(f_text, g_text, center):
     # the residual is built from the derivative stack of g composed with f;
     # on monomials that do not annihilate f it is far from zero, so this
-    # compares real series, coefficient by coefficient
-    env = DefinitionEnvironment()
-    env.define_text("f", f_text)
-    env.define_text("g", g_text)
-    bound = bound_pair(parse("f", env), parse("g", env), env)
+    # compares real series, coefficient by coefficient.  The reference
+    # expands in an unfrozen environment, which keeps no series between
+    # calls, while the pair shares its series and its G stack across them
+    bound = _bound(f_text, g_text)
+    reference = _pair(f_text, g_text)
     for mono in _corpus(3, 3):
         support = transfer_support(DiffPoly.monomial(mono))
         got = transfer_residual(support, bound, center, 6)
-        assert got == _residual_by_expressions(support, bound, center, 6), mono
+        assert got == _residual_by_expressions(support, reference, center, 6), mono
         if f_text == "z^2":
             got = transfer_residual(support, bound, 1.0, 6, mode="numeric")
-            want = _residual_by_expressions(support, bound, 1.0, 6, mode="numeric")
+            want = _residual_by_expressions(support, reference, 1.0, 6, mode="numeric")
             assert close_to(got, want), mono
+
+
+def test_corpus_on_one_pair_expands_each_definition_once(monkeypatch):
+    # the 18 corpus calls on one pair at one (center, order) share one
+    # expansion of f and of g and one stack G_0..G_3
+    from adekit import chain_rewrite, expr
+
+    bodies, stack = [], []
+    expand_definition, expand = expr._expand_definition, chain_rewrite.expand_series
+
+    def counting_definition(env, name, z, order):
+        bodies.append(name)
+        return expand_definition(env, name, z, order)
+
+    def counting(e, *args, **kwargs):
+        if isinstance(e, Compose) and e.inner == FuncRef("f"):
+            stack.append(e.outer.order)
+        return expand(e, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "_expand_definition", counting_definition)
+    monkeypatch.setattr(chain_rewrite, "expand_series", counting)
+    bound = bound_pair(F_OF, G_OF, PAIR_ENV)
+    corpus = _corpus(3, 3)
+    # heaviest first, so that the first call reads the highest derivatives
+    # of f and g and every later call reads truncations of their series
+    for mono in reversed(corpus):
+        transfer_residual(transfer_support(DiffPoly.monomial(mono)), bound, Frac.of(0), 6)
+    assert sorted(bodies) == ["f", "g"]
+    assert stack == [0, 1, 2, 3]
+    # the corpus again, in its own order, finds everything it needs
+    for mono in corpus:
+        transfer_residual(transfer_support(DiffPoly.monomial(mono)), bound, Frac.of(0), 6)
+    assert sorted(bodies) == ["f", "g"]
+    assert stack == [0, 1, 2, 3]
+
+
+def test_pair_caches_follow_the_expansion_key():
+    # one pair whose key keeps changing: each result equals a fresh pair's
+    pair = ("z^2+z", "z^3+2*z")
+    bound = _bound(*pair)
+    supports = [transfer_support(DiffPoly.monomial(m)) for m in ((0, 0, 0, 1), (1, 1), (0, 1, 1))]
+    expression = add(mul(FuncRef("f", 2), FuncRef("g", 1)), FuncRef("g", 3))
+    keys = [
+        (Frac.of(1), 6, "exact"),
+        (Frac.of(0), 6, "exact"),
+        (Frac.of(1), 8, "exact"),
+        (1.0, 6, "numeric"),
+        (Frac.of(1), 6, "exact"),
+        (1.0, 8, "numeric"),
+        (Frac.of(0), 8, "exact"),
+        (Frac.of(1), 6, "exact"),
+    ]
+    for center, order, mode in keys:
+        for support in supports:
+            got = transfer_residual(support, bound, center, order, mode)
+            assert got == transfer_residual(support, _bound(*pair), center, order, mode), (center, order, mode)
+        got = expand_series(expression, center, order, mode=mode, env=bound)
+        assert got == expand_series(expression, center, order, mode=mode, env=_bound(*pair)), (center, order, mode)
 
 
 def test_verify_transfer_positive_pairs():

@@ -608,6 +608,37 @@ def test_nested_definitions_expand_as_their_inlined_tree():
             assert repr(eval_numeric(e, c, env)) == repr(eval_numeric(closed, c))
 
 
+def test_references_read_derivatives_of_one_expansion_seeded():
+    # f^(n) read at z is the n-th derivative of one expansion of f's body;
+    # the reference expands f's n-th symbolic derivative, inlined, as every
+    # reference expanded before.  Bodies read earlier names at z, and the
+    # frozen environment keeps one expansion of each per center and order
+    rng = random.Random(2604)
+
+    def rand_lit():
+        return lit(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    env = DefinitionEnvironment()
+    env.define("a", parse("1/(2+exp(z))"))
+    env.define("b", add(mul(add(rand_lit(), mul(rand_lit(), pow_(Z, 2))), FuncRef("a")), FuncRef("a", 1)))
+    env.define("c", sub(FuncRef("b"), mul(rand_lit(), FuncRef("a", 2))))
+    env.freeze()
+    for center in (Frac.of(0), Frac.of(1) / Frac.of(4), Frac.of(GaussianRational(1, 1))):
+        for name in ("a", "b", "c"):
+            # highest n first: the lower ones read truncations of its expansion
+            wants = [(n, nth_derivative(inline(FuncRef(name), env), n)) for n in range(4, -1, -1)]
+            # exp(1/4) and exp(1+i) are adjoined, which makes a coefficient of
+            # 1/(2+exp(z)) a rational function in them, slow to reduce
+            order = 3 if center.is_zero() else 0
+            for n, want in wants:
+                what = f"{name}^({n}) at {frac_str(center)}"
+                assert expand_series(FuncRef(name, n), center, order, env=env) == expand_series(want, center, order), what
+            c = frac_value(center)
+            for n, want in wants:
+                got = expand_series(FuncRef(name, n), c, 4, mode="numeric", env=env)
+                assert close_to(got, expand_series(want, c, 4, mode="numeric")), f"{name}^({n}) at {c}"
+
+
 def test_unknown_mode_is_rejected():
     from adekit.series import PowerSeries, SeriesError
 
