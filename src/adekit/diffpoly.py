@@ -281,9 +281,9 @@ class Jet:
     once and shared by the searches' columns and the checks' residuals.
 
     ``Jet(ys)`` holds a given stack and cannot grow.  ``Jet([], expand)``
-    owns one expansion, ``expand(order)``, as ``Jet.expanding`` does for a
-    subject: it re-expands only when a caller needs more coefficients than
-    it holds, to exactly that need, dropping the monomials, and takes
+    owns one expansion ``expand(order)``, and ``Jet.expanding`` that of
+    one subject: it re-expands only when a caller needs more coefficients
+    than it holds, to exactly that need, dropping the monomials, and takes
     derivatives on demand.  ``Jet([], build=build)`` holds a stack whose
     members are not each other's derivatives: it builds y_j as
     ``build(j)`` when a caller first needs it, and keeps its monomials.

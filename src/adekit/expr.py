@@ -686,7 +686,7 @@ def _substitute(e: Expression, env: DefinitionEnvironment, reference) -> Express
         elif t is Compose:
             v = Compose(inline(node.outer, env), out[ops[0]])
         elif t is Iterate:
-            v = body = inline(env.lookup(node.name), env)
+            v = body = inline(FuncRef(node.name), env)
             for _ in range(node.count - 1):
                 v = Compose(body, v)
         else:
@@ -826,13 +826,13 @@ def expand_series(
     z = _z_series(dom, dom.center(center), order)
     refs = {(node.name, node.order) for node, _ in resolved._subtrees if type(node) is FuncRef}
     if refs:
-        key = expansion_key(center, order, dom)
-        if env._memo is None or env._memo.key != key:
-            memo = _Expansions(key, env, z)
-            if env._frozen:
-                env._memo = memo
-        else:
+        if env._frozen:
+            key = expansion_key(center, order, dom)
+            if env._memo is None or env._memo.key != key:
+                env._memo = _Expansions(key, env, z)
             memo = env._memo
+        else:
+            memo = _Expansions(None, env, z)
         refs = memo.reads(refs)
     return _expand(resolved, z, refs)
 
@@ -858,35 +858,35 @@ def _z_series(dom: Domain, c, order: int) -> PowerSeries:
 
 class _Expansions:
     """The series that references f^(n) read at z, for expansions around
-    one center through one order.  Each definition's inlined body is
-    expanded once, in a Jet grown as far as the highest n read so far; a
-    higher n re-expands it."""
+    one center through one order.  Each definition's inlined body has one
+    expanding Jet, grown as far as the highest n read so far.  The key is
+    the :func:`expansion_key` a frozen environment keeps it under."""
 
-    def __init__(self, key: tuple, env: DefinitionEnvironment, z: PowerSeries):
+    def __init__(self, key: tuple | None, env: DefinitionEnvironment, z: PowerSeries):
         self.key = key
-        self._env, self._z, self._jets, self._reads = env, z, {}, {}
+        self._env, self._z, self._jets = env, z, {}
 
     def reads(self, refs) -> dict:
         """(name, n) -> series of f^(n) through the key's order, for each
         (name, n) of refs."""
         from .diffpoly import Jet
 
-        order = self._z.order
         depth = {}
         for name, n in refs:
             depth[name] = max(depth.get(name, 0), n)
+        stacks = {}
         for name, n in depth.items():
-            if (name, n) not in self._reads:
-                if name not in self._jets:
-                    self._jets[name] = Jet([], lambda m, name=name: _expand_definition(self._env, name, self._z, m))
-                for k, y in enumerate(self._jets[name].stack(n, order)):
-                    self._reads.setdefault((name, k), y)
-        return {ref: self._reads[ref] for ref in refs}
+            if name not in self._jets:
+                self._jets[name] = Jet([], lambda m, name=name: _expand_definition(self._env, name, self._z, m))
+            stacks[name] = self._jets[name].stack(n, self._z.order)
+        return {(name, n): stacks[name][n] for name, n in refs}
 
 
 def _expand_definition(env: DefinitionEnvironment, name: str, z: PowerSeries, order: int) -> PowerSeries:
     """The series of name's inlined body through order, around z's center."""
-    return _expand(inline(FuncRef(name), env), _z_series(z.domain, z.coeffs[0], order))
+    if order != z.order:
+        z = _z_series(z.domain, z.coeffs[0], order)
+    return _expand(inline(FuncRef(name), env), z)
 
 
 def _expand(e, z: PowerSeries, refs=None) -> PowerSeries:
