@@ -327,13 +327,12 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
 
 
 def _log_max(values: list) -> float:
-    # OVERFLOW has no order, so max raises on it unless it is the only
-    # sample; the scan finds the marker without a pass of its own
+    # a circle has at least 64 samples, so max compares every one of them,
+    # and OVERFLOW, which has no order, makes that comparison raise
     try:
-        top = max(values)
+        return max(values)
     except TypeError:
         return math.inf
-    return math.inf if top is OVERFLOW else top
 
 
 def _characteristic(values: list, r: float) -> float:
