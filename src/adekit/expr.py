@@ -15,9 +15,10 @@ definition environment.  :func:`eval_numeric` and the log-polar walker
 inline once and then walk a closed tree, without named references or
 iterates.  :func:`expand_series` inlines only the outers of compositions
 and the iterates, which it composes by substitution.  A reference f^(n)
-read at z stays a leaf: its series is the n-th derivative of one
-expansion of f's inlined body, taken through the order of the expansion
-plus the highest n the expression reads.  A frozen environment keeps
+read at z, bare or composed with z as the parser writes ``f''(z)``,
+stays a leaf: its series is the n-th derivative of one expansion of f's
+inlined body, taken through the order of the expansion plus the highest
+n the expression reads.  A frozen environment keeps
 those series for its latest center, order and domain, so the calls that
 share them expand each body once.
 
@@ -39,7 +40,6 @@ import cmath
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -72,76 +72,131 @@ class EvalError(ExprError):
 # AST
 
 
-@dataclass(frozen=True)
 class Expression:
+    """An immutable expression node.  A node type declares its fields as
+    class annotations, in order, a default as a class value; a node is
+    built from its fields by position or by name, equals a node of its own
+    type with equal fields, hashes as the tuple of its fields and prints as
+    ``Add(left=..., right=...)``, as a frozen dataclass would, without the
+    code generation a dataclass costs at import."""
+
+    _FIELDS = ()
+
+    def __init_subclass__(cls):
+        cls._FIELDS = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__init__ = _initializer(cls, names)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __str__(self):
         return to_text(self)
 
-    # the post-order every walker folds, built once per node object
+    # the post-order every walker folds, built once per node object; a
+    # cached_property writes the instance dict, past __setattr__
     _subtrees = cached_property(lambda self: _postorder(self))
 
 
-@dataclass(frozen=True)
+def _initializer(cls, names: tuple):
+    """The __init__ of a node type with at most two fields: a template
+    whose parameters are renamed to the fields, with the class's defaults,
+    so that Python itself binds a call by position or by name and reports
+    a bad one.  Fields are stored with object.__setattr__, as a frozen
+    dataclass stores them; writing self.__dict__ instead would give every
+    node a dict object of its own, which costs memory and slows every
+    field read."""
+    setfield = object.__setattr__
+    if not names:
+
+        def __init__(self):
+            pass
+
+    elif len(names) == 1:
+        (first,) = names
+
+        def __init__(self, a):
+            setfield(self, first, a)
+
+    else:
+        first, second = names
+
+        def __init__(self, a, b):
+            setfield(self, first, a)
+            setfield(self, second, b)
+
+    __init__.__code__ = __init__.__code__.replace(co_varnames=("self",) + names)
+    __init__.__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__) or None
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return __init__
+
+
 class Var(Expression):
     pass
 
 
-@dataclass(frozen=True)
 class Lit(Expression):
     value: GaussianRational
 
 
-@dataclass(frozen=True)
 class PiConst(Expression):
     pass
 
 
-@dataclass(frozen=True)
 class Add(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Sub(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Mul(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Div(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int
 
 
-@dataclass(frozen=True)
 class Exp(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
 class Sin(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
 class Cos(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
 class FuncRef(Expression):
     """order-th derivative of a named function, as a function of z."""
 
@@ -149,7 +204,6 @@ class FuncRef(Expression):
     order: int = 0
 
 
-@dataclass(frozen=True)
 class Compose(Expression):
     """outer evaluated at inner(z); outer is read as a function of z."""
 
@@ -157,7 +211,6 @@ class Compose(Expression):
     inner: Expression
 
 
-@dataclass(frozen=True)
 class Iterate(Expression):
     name: str
     count: int
@@ -263,17 +316,17 @@ def iterate(name: str, count: int) -> Expression:
 # function of z that a walker folds on its own, at the value of the inner,
 # and that keys a composition by its identity.
 _OPERANDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type == "Expression" and f.name != "outer")
+    cls: tuple(n for n in cls._FIELDS if cls.__annotations__[n] == "Expression" and n != "outer")
     for cls in Expression.__subclasses__()
 }
-_SCALARS = {cls: tuple(f.name for f in fields(cls) if f.type != "Expression") for cls in _OPERANDS}
+_SCALARS = {cls: tuple(n for n in cls._FIELDS if cls.__annotations__[n] != "Expression") for cls in _OPERANDS}
 
 
 def _postorder(root: Expression) -> tuple:
     """The distinct subtrees of root, children first and root last, each as
     (node, positions of its operands in the result).  Subtrees merge under
     flat keys, (type, operand positions, scalar fields): hashing the nodes
-    would recurse through the dataclass ``__hash__``."""
+    would recurse through ``Expression.__hash__``, which hashes the fields."""
     entries = []
     at = {}  # id(node) -> position of its subtree
     position = {}  # flat key -> position
@@ -671,7 +724,8 @@ def inline(e: Expression, env: DefinitionEnvironment) -> Expression:
 
 def _substitute(e: Expression, env: DefinitionEnvironment, reference) -> Expression:
     """e with each composition's outer and each iterate inlined, and each
-    reference read at z replaced by reference(node)."""
+    reference read at z replaced by reference(node).  A reference composed
+    with z itself, as the parser writes ``f''(z)``, is read at z."""
     out = []
     for node, ops in e._subtrees:
         t = type(node)
@@ -683,6 +737,8 @@ def _substitute(e: Expression, env: DefinitionEnvironment, reference) -> Express
             v = pow_(out[ops[0]], node.exponent)
         elif t is FuncRef:
             v = reference(node)
+        elif t is Compose and type(node.outer) is FuncRef and type(node.inner) is Var:
+            v = reference(node.outer)
         elif t is Compose:
             v = Compose(inline(node.outer, env), out[ops[0]])
         elif t is Iterate:

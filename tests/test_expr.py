@@ -349,6 +349,102 @@ def test_postorder_rejects_foreign_nodes():
         to_text(Exp(None))
 
 
+# Each node type as a frozen dataclass: (name, fields), a field as (name,
+# annotation) or (name, annotation, default).  The nodes were these
+# dataclasses, and they are the reference for equality, hashing, printing,
+# immutability and the walkers' field tables.
+_DATACLASS_NODES = (
+    ("Var", ()),
+    ("Lit", (("value", "GaussianRational"),)),
+    ("PiConst", ()),
+    ("Add", (("left", "Expression"), ("right", "Expression"))),
+    ("Sub", (("left", "Expression"), ("right", "Expression"))),
+    ("Mul", (("left", "Expression"), ("right", "Expression"))),
+    ("Div", (("left", "Expression"), ("right", "Expression"))),
+    ("Pow", (("base", "Expression"), ("exponent", "int"))),
+    ("Exp", (("arg", "Expression"),)),
+    ("Sin", (("arg", "Expression"),)),
+    ("Cos", (("arg", "Expression"),)),
+    ("FuncRef", (("name", "str"), ("order", "int", 0))),
+    ("Compose", (("outer", "Expression"), ("inner", "Expression"))),
+    ("Iterate", (("name", "str"), ("count", "int"))),
+)
+
+
+def test_nodes_behave_as_frozen_dataclasses_seeded():
+    import dataclasses
+
+    from adekit import expr
+    from adekit.expr import _SCALARS
+
+    base = dataclasses.make_dataclass("Expression", [], frozen=True)
+    refs = {
+        getattr(expr, name): dataclasses.make_dataclass(name, [tuple(f) for f in spec], bases=(base,), frozen=True)
+        for name, spec in _DATACLASS_NODES
+    }
+    assert set(refs) == set(_OPERANDS)
+
+    for cls, ref in refs.items():
+        fields = dataclasses.fields(ref)
+        operands = tuple(f.name for f in fields if f.type == "Expression" and f.name != "outer")
+        assert _OPERANDS[cls] == operands, cls
+        assert _SCALARS[cls] == tuple(f.name for f in fields if f.type != "Expression"), cls
+
+    def reference(node):
+        """node rebuilt from the dataclasses, fields in order."""
+        ref = refs[type(node)]
+        values = [getattr(node, f.name) for f in dataclasses.fields(ref)]
+        return ref(*(reference(v) if type(v) in refs else v for v in values))
+
+    def fresh(node):
+        """node rebuilt from new objects, fields by name."""
+        return type(node)(**{k: fresh(v) if type(v) in refs else v for k, v in vars(node).items() if k != "_subtrees"})
+
+    rng = random.Random(2701)
+    trees = [rand_expr(rng, rng.randint(0, 3)) for _ in range(60)]
+    trees += [Iterate("f", 2), Iterate("g", 2), Compose(Exp(Z), Z), Compose(Exp(Z), PiConst()), FuncRef("f"), FuncRef("f", 0)]
+    trees += [nth_derivative(t, 1) for t in trees[:10]]
+    for a in trees:
+        ra = reference(a)
+        assert repr(a) == repr(ra)
+        assert hash(a) == hash(ra)
+        assert a == fresh(a) and not a != fresh(a) and hash(fresh(a)) == hash(a)
+        assert (a == 0) is (ra == 0) is False
+        for b in trees:
+            rb = reference(b)
+            assert (a == b) is (ra == rb), (a, b)
+            assert (a != b) is (ra != rb), (a, b)
+        for node in (a, ra):
+            targets = [f.name for f in dataclasses.fields(refs[type(a)])] + ["other"]
+            for name in targets:
+                with pytest.raises(AttributeError) as raised:
+                    setattr(node, name, Z)
+                messages = [str(raised.value)]
+                with pytest.raises(AttributeError) as raised:
+                    delattr(node, name)
+                messages.append(str(raised.value))
+                assert messages == [f"cannot assign to field {name!r}", f"cannot delete field {name!r}"]
+    # equal trees from different objects count once in a set, as before
+    assert len(set(trees)) == len({reference(t) for t in trees})
+    assert FuncRef("f").order == 0 == refs[FuncRef]("f").order
+    assert FuncRef("f") == FuncRef(name="f") == FuncRef("f", order=0)
+    assert Compose(inner=Z, outer=Exp(Z)) == Compose(Exp(Z), Z)
+
+    def refusal(make):
+        with pytest.raises(TypeError) as raised:
+            make()
+        return str(raised.value)
+
+    # a call the dataclass refuses is refused with the same message
+    for cls, ref in refs.items():
+        names = [f.name for f in dataclasses.fields(ref)]
+        calls = [((Z,) * (len(names) + 1), {}), ((), {"other": Z})]
+        if names:
+            calls += [((Z,) * len(names), {names[0]: Z}), ((), {})]
+        for args, kwargs in calls:
+            assert refusal(lambda: cls(*args, **kwargs)) == refusal(lambda: ref(*args, **kwargs)), (cls, args, kwargs)
+
+
 def test_funcref_derivative_bumps_order():
     assert differentiate(FuncRef("f", 1)) == FuncRef("f", 2)
     assert nth_derivative(FuncRef("f"), 3) == FuncRef("f", 3)
@@ -599,12 +695,15 @@ def test_nested_definitions_expand_as_their_inlined_tree():
     env.define_text("h", "sin(g(z))*f'(z) + iter(f, 2)")
     e = parse("h''(z/3) + g'(z)", env)
     closed = inline(e, env)
+    # g'(z), which the parser writes as g' composed with z, reads as the bare
+    # reference g': the derivative of g's series, not g's derivative tree
+    bare = add(parse("h''(z/3)", env), FuncRef("g", 1))
     for center in (Fraction(0), Fraction(1, 4)):
         assert expand_series(e, Frac.of(center), 4, env=env) == expand_series(closed, Frac.of(center), 4)
         for c in (complex(center), complex(center) - 0.3j):
             got = expand_series(e, c, 6, mode="numeric", env=env)
-            want = expand_series(closed, c, 6, mode="numeric")
-            assert list(map(repr, got)) == list(map(repr, want))
+            assert close_to(got, expand_series(closed, c, 6, mode="numeric"))
+            assert list(map(repr, got)) == list(map(repr, expand_series(bare, c, 6, mode="numeric", env=env)))
             assert repr(eval_numeric(e, c, env)) == repr(eval_numeric(closed, c))
 
 
@@ -637,6 +736,27 @@ def test_references_read_derivatives_of_one_expansion_seeded():
             for n, want in wants:
                 got = expand_series(FuncRef(name, n), c, 4, mode="numeric", env=env)
                 assert close_to(got, expand_series(want, c, 4, mode="numeric")), f"{name}^({n}) at {c}"
+
+
+def test_a_typed_reference_builds_no_derivative_tree(monkeypatch):
+    # the parser writes f''''(z) as f'''' composed with z; its series is the
+    # fourth derivative of f's series, and no symbolic derivative is built
+    from adekit import expr
+
+    env = DefinitionEnvironment()
+    env.define_text("f", "sin(z)/(2+exp(z))")
+    env.freeze()
+    typed = parse("f''''(z)", env)
+    assert typed == Compose(FuncRef("f", 4), Z)
+    want = expand_series(nth_derivative(inline(FuncRef("f"), env), 4), Frac.of(0), 4)
+    orders, built = [], []
+    real_nth, real_differentiate = expr.nth_derivative, expr.differentiate
+    monkeypatch.setattr(expr, "nth_derivative", lambda e, n: orders.append(n) or real_nth(e, n))
+    monkeypatch.setattr(expr, "differentiate", lambda e: built.append(e) or real_differentiate(e))
+    assert expand_series(typed, Frac.of(0), 4, env=env) == want
+    expand_series(typed, 0.25, 4, mode="numeric", env=env)
+    # inline reads f's body as its 0th derivative, which is the body itself
+    assert orders == [0, 0] and not built
 
 
 def test_unknown_mode_is_rejected():

@@ -2,9 +2,8 @@
 
 A name imported into a module and never read there is dead weight, and
 after a refactor it is often the last trace of a deleted code path.  The
-check reads the syntax tree of each module of the package and of the
-tests; the package's ``__init__.py`` is left out because re-exporting is
-its job.
+check reads the syntax tree of each module of the package, its
+``__init__.py`` included, and of the tests.
 """
 
 import ast
@@ -56,8 +55,6 @@ def _used_names(tree):
 def test_no_unused_imports():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        if path == PACKAGE / "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
         for name in _imported_names(tree):
