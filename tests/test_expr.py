@@ -350,9 +350,9 @@ def test_postorder_rejects_foreign_nodes():
 
 
 # Each node type as a frozen dataclass: (name, fields), a field as (name,
-# annotation) or (name, annotation, default).  The nodes were these
-# dataclasses, and they are the reference for equality, hashing, printing,
-# immutability and the walkers' field tables.
+# annotation) or (name, annotation, default).  These dataclasses are the
+# reference for construction, equality, hashing, printing, immutability
+# and the walkers' field tables.
 _DATACLASS_NODES = (
     ("Var", ()),
     ("Lit", (("value", "GaussianRational"),)),
