@@ -10,13 +10,15 @@ vector that merely reflects truncation is rejected rather than reported.
 The exact nullspace guesses by homomorphism and proves exactly.  Its rows,
 as given, are mapped into F_p by scalars.residues, and a rank mod p equal
 to the column count proves full rank, since a ring homomorphism cannot
-raise rank.  Only a matrix with a kernel is cleared of denominators.  One
-with adjoined constants is solved at one integer point of the constants,
-and that basis is returned only when it annihilates the rows exactly,
-the rank mod p leaves room for no other vector, and each vector has the
-shape back-substitution gives its free column.  Anything else falls back
-to Bareiss elimination over Z[i] and the constants.  Rank and kernel are
-statements about the free ring of adjoined constants either way.
+raise rank.  A matrix with a kernel reads it off the same elimination,
+and off a second image with i at the other root of -1, and lifts each
+entry to a Gaussian rational by rational reconstruction.  That basis is
+returned only when it annihilates the rows cleared of denominators
+exactly, the rank mod p leaves room for no other vector, and each vector
+has the shape back-substitution gives its free column.  Anything else
+falls back to Bareiss elimination over Z[i] and the constants.  Rank and
+kernel are statements about the free ring of adjoined constants either
+way.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .scalars import (
     GaussianRational,
     Poly,
     clear_denominators,
+    conjugate_residues,
+    gaussian_lift,
     poly_exact_div,
     poly_gcd,  # unused here; bench/test_bench.py checks that the tracer rebinds this copy
     residues,
@@ -75,24 +79,25 @@ def exact_nullspace(rows):
     """Right nullspace basis of a matrix of scalar fractions, and its rank.
 
     Full rank is proven by the rank in F_p of the rows as given.  A kernel
-    is guessed on the rows cleared to Gaussian-integer polynomials and
-    proven over the ring of the adjoined constants; when a proof fails,
-    fraction-free elimination over that ring gives it.  Either way the
-    basis is the one back-substitution reads off the echelon form: one
-    vector per free column, over the fraction field.
+    is read off that elimination, lifted from F_p by rational
+    reconstruction and proven over the ring of the adjoined constants on
+    the rows cleared to Gaussian-integer polynomials; when the lift or
+    its proof fails, fraction-free elimination over that ring gives it.
+    Either way the basis is the one back-substitution reads off the
+    echelon form: one vector per free column, over the fraction field.
     """
     if not rows:
         return [], 0
-    rank_p = _rank_mod_p(rows)
-    if rank_p == len(rows[0]):
+    n = len(rows[0])
+    image = _image(rows, residues)
+    pivots = _echelon_mod_p(image, n)
+    if len(pivots) == n:
         # a ring homomorphism cannot raise rank
-        return [], rank_p
+        return [], n
     mat = [clear_denominators(r) for r in rows]
-    names = set().union(*(q.variables() for row in mat for q in row))
-    if names:
-        found = _kernel_by_specialization(mat, rank_p, sorted(names))
-        if found is not None:
-            return found
+    found = _kernel_by_reconstruction(rows, mat, image, pivots)
+    if found is not None:
+        return found
     return _bareiss(mat)
 
 
@@ -128,18 +133,27 @@ def _bareiss(mat):
     return _back_substitute(mat, pivots, EXACT, Frac), len(pivots)
 
 
-def _rank_mod_p(mat) -> int:
-    """Rank in F_p of the rows that have an image, a lower bound on the
-    rank over the fraction field, since fewer rows cannot raise it."""
-    rows = []
-    for row in mat:
+def _image(rows, image_of) -> list:
+    """The images in F_p of the rows that have one; fewer rows cannot
+    raise the rank."""
+    out = []
+    for row in rows:
         try:
-            rows.append(residues(row))
+            out.append(image_of(row))
         except ZeroDivisionError:
             continue
-    m, n = len(rows), len(mat[0])
-    r = 0
+    return out
+
+
+def _echelon_mod_p(rows, n: int) -> list:
+    """The pivot columns of rows over F_p, whose count is a lower bound on
+    the rank over the fraction field.  The rows are brought to echelon
+    form in place, except that entries below a pivot keep their values:
+    only the entries after each row's pivot are read afterwards."""
+    m = len(rows)
+    pivots = []
     for col in range(n):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue
@@ -151,27 +165,57 @@ def _rank_mod_p(mat) -> int:
             if f:
                 for j in range(col + 1, n):
                     row[j] = (row[j] - f * top[j]) % MOD_P
-        r += 1
-        if r == m:
+        pivots.append(col)
+        if r + 1 == m:
             break
-    return r
+    return pivots
 
 
-def _kernel_by_specialization(mat, rank_p: int, names):
-    """The kernel over the constants, guessed at one integer point (the
-    j-th name in sorted order goes to 3 + 2j) and returned only with its
-    proof, else None.  The proof: M v = 0 for each vector v, so the kernel
-    has dimension at least k; the rank mod p is at least n - k, so at most
-    k; and v is 1 at its free column c, 0 at the other free columns and 0
-    after c, so column c depends on the columns before it and is free in
-    the echelon form over the ring too.  A kernel vector is fixed by its
-    values on the free columns, so these are the vectors elimination over
-    the ring returns."""
+def _kernel_mod_p(rows, pivots, n: int) -> list:
+    """One vector per free column of echelon rows over F_p, as
+    back-substitution gives it: 1 at its free column c, 0 at the other
+    free columns and after c."""
+    inverses = [pow(rows[r][c], -1, MOD_P) for r, c in enumerate(pivots)]
+    taken = set(pivots)
+    basis = []
+    for free in (c for c in range(n) if c not in taken):
+        x = [0] * n
+        x[free] = 1
+        for r in reversed(range(len(pivots))):
+            ci = pivots[r]
+            if ci < free:
+                row = rows[r]
+                acc = sum(row[j] * x[j] for j in range(ci + 1, free + 1) if x[j])
+                x[ci] = -acc * inverses[r] % MOD_P
+        basis.append(x)
+    return basis
+
+
+def _kernel_by_reconstruction(rows, mat, image, pivots):
+    """The kernel read off the echelon image and lifted from F_p, returned
+    with its rank only with its proof, else None.  The rows' second image,
+    with i at the other root of -1, must have the same pivot columns, and
+    each entry must lift to a Gaussian rational (scalars.gaussian_lift).
+
+    The proof, on the cleared rows: M v = 0 for each vector v, so the
+    kernel has dimension at least k; the rank mod p is at least n - k, so
+    at most k; and v is 1 at its free column c, 0 at the other free
+    columns and 0 after c, so column c depends on the columns before it
+    and is free in the echelon form over the ring too.  A kernel vector is
+    fixed by its values on the free columns, so these are the vectors
+    elimination over the ring returns."""
     n = len(mat[0])
-    values = {name: 3 + 2 * j for j, name in enumerate(names)}
-    basis, _ = _bareiss([[Poly.const(q.evaluate(values.get, GaussianRational.coerce)) for q in row] for row in mat])
+    conjugate = _image(rows, conjugate_residues)
+    if _echelon_mod_p(conjugate, n) != pivots:
+        return None
+    basis = []
+    for plus, minus in zip(_kernel_mod_p(image, pivots, n), _kernel_mod_p(conjugate, pivots, n)):
+        lifted = gaussian_lift(plus, minus)
+        if lifted is None:
+            return None
+        basis.append([Frac.of(g) for g in lifted])
     k = len(basis)
-    if rank_p < n - k:
+    if len(pivots) < n - k:
         return None
     free = [max(j for j, x in enumerate(v) if not x.is_zero()) for v in basis]
     if len(set(free)) != k:

@@ -364,10 +364,10 @@ class Poly:
         best = min(self.terms, key=_mono_key)
         return best, self.terms[best]
 
-    def evaluate(self, value_of: Callable[[str], complex], coeff=GaussianRational.to_complex):
+    def evaluate(self, value_of: Callable[[str], complex]):
         total = 0
         for m, c in self.terms.items():
-            v = coeff(c)
+            v = c.to_complex()
             for name, e in m:
                 v *= value_of(name) ** e
             total += v
@@ -809,14 +809,14 @@ def _inverse_mod_p(d: int) -> int:
     return pow(d, -1, MOD_P)
 
 
-def _poly_residue(q: Poly, powers: dict) -> int:
-    # the terms summed as one fraction num/den, so that one inverse serves
-    # the polynomial; p is prime, so den maps to 0 exactly when a term's
-    # denominator does
+def _poly_residue(q: Poly, powers: dict, unit: int) -> int:
+    # i maps to unit; the terms summed as one fraction num/den, so that one
+    # inverse serves the polynomial; p is prime, so den maps to 0 exactly
+    # when a term's denominator does
     num, den = 0, 1
     for mono, c in q.terms.items():
         d = c.re.denominator * c.im.denominator
-        t = c.re.numerator * c.im.denominator + c.im.numerator * c.re.denominator * _MOD_I
+        t = c.re.numerator * c.im.denominator + c.im.numerator * c.re.denominator * unit
         for var in mono:
             if var not in powers:
                 name, e = var
@@ -827,17 +827,64 @@ def _poly_residue(q: Poly, powers: dict) -> int:
     return num * _inverse_mod_p(den) % MOD_P
 
 
+def _images(fracs, unit: int) -> list:
+    powers = {}
+    out = []
+    for x in fracs:
+        r = _poly_residue(x.num, powers, unit)
+        if not x.den.is_one():
+            r = r * _inverse_mod_p(_poly_residue(x.den, powers, unit)) % MOD_P
+        out.append(r)
+    return out
+
+
 def residues(fracs) -> list:
     """Each fraction's image num * den^-1 in F_p, with i at a root of -1
     and each adjoined constant at the residue of its name; a denominator,
     or a coefficient's, that maps to 0 raises ZeroDivisionError."""
-    powers = {}
+    return _images(fracs, _MOD_I)
+
+
+def conjugate_residues(fracs) -> list:
+    """The images of residues with i at the other root of -1, p - _MOD_I.
+    A Gaussian rational a + b*i maps to a + b*_MOD_I under one and to
+    a - b*_MOD_I under the other, so the two images give a and b back."""
+    return _images(fracs, MOD_P - _MOD_I)
+
+
+# every fraction n/d with |n|, d <= _LIFT_BOUND has its own residue, since
+# 2 * _LIFT_BOUND^2 < p
+_LIFT_BOUND = math.isqrt(MOD_P // 2)
+_HALF = pow(2, -1, MOD_P)
+_HALF_OVER_I = pow(2 * _MOD_I, -1, MOD_P)
+
+
+def _rational_lift(x: int):
+    """The fraction n/d with |n|, d <= _LIFT_BOUND whose residue is x, or
+    None: rational reconstruction by the half-extended Euclidean algorithm
+    on (p, x), whose remainders r and cofactors t keep r = t*x (mod p)."""
+    r0, r1, t0, t1 = MOD_P, x, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT_BOUND or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def gaussian_lift(plus, minus):
+    """The Gaussian rationals whose images under residues and
+    conjugate_residues are plus and minus, entry by entry, or None when a
+    real or imaginary part has no lift within the reconstruction bound
+    (Wang, SYMSAC 1981).  A lift is the only small candidate, not a proof."""
     out = []
-    for x in fracs:
-        r = _poly_residue(x.num, powers)
-        if not x.den.is_one():
-            r = r * _inverse_mod_p(_poly_residue(x.den, powers)) % MOD_P
-        out.append(r)
+    for x, y in zip(plus, minus):
+        re = _rational_lift((x + y) * _HALF % MOD_P)
+        im = _rational_lift((x - y) * _HALF_OVER_I % MOD_P)
+        if re is None or im is None:
+            return None
+        out.append(GaussianRational._raw(re, im))
     return out
 
 

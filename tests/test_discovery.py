@@ -1,5 +1,6 @@
 """Kernel extraction and the bounded equation search."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from adekit import diffpoly, discovery, scalars
 from adekit.scalars import Frac, GaussianRational, Poly, clear_denominators
 from adekit.series import EXACT, NUMERIC, PowerSeries
-from adekit.expr import EMPTY_ENV, parse
-from adekit.diffpoly import ade_text, holds_on, mono_of, mono_rank, mono_total_degree, mono_weight
+from adekit.expr import EMPTY_ENV, DefinitionEnvironment, parse
+from adekit.pipeline import iterate_ade
+from adekit.diffpoly import ade_text, holds_on, mono_of, mono_rank, mono_total_degree, mono_weight, parse_ade
 from adekit.discovery import (
     BoundExhausted,
     DiscoveryError,
@@ -222,24 +224,33 @@ def test_residues_do_not_depend_on_the_hash_seed():
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Spy on the routes of exact_nullspace: each elimination as "point"
-    (no adjoined constant in its rows) or "ring", and each specialization
-    as "proven" or "refused"."""
+    """Spy on the routes of exact_nullspace past a rank mod p short of the
+    column count: each kernel read off the images as "proven", or as
+    "unlifted" when an entry had no rational lift and "refused" when the
+    lift failed its proof; then each elimination over the ring as
+    "bareiss"."""
     seen = []
-    bareiss, special = discovery._bareiss, discovery._kernel_by_specialization
+    lifted = []
+    bareiss, reconstruct, lift = discovery._bareiss, discovery._kernel_by_reconstruction, discovery.gaussian_lift
 
     def spy_bareiss(mat):
-        ring = any(not q.is_const() for row in mat for q in row)
-        seen.append("ring" if ring else "point")
+        seen.append("bareiss")
         return bareiss(mat)
 
-    def spy_special(mat, rank_p, names):
-        out = special(mat, rank_p, names)
-        seen.append("refused" if out is None else "proven")
+    def spy_lift(plus, minus):
+        out = lift(plus, minus)
+        lifted.append(out is not None)
+        return out
+
+    def spy_reconstruct(rows, mat, image, pivots):
+        lifted.clear()
+        out = reconstruct(rows, mat, image, pivots)
+        seen.append("proven" if out is not None else "refused" if all(lifted) else "unlifted")
         return out
 
     monkeypatch.setattr(discovery, "_bareiss", spy_bareiss)
-    monkeypatch.setattr(discovery, "_kernel_by_specialization", spy_special)
+    monkeypatch.setattr(discovery, "gaussian_lift", spy_lift)
+    monkeypatch.setattr(discovery, "_kernel_by_reconstruction", spy_reconstruct)
     return seen
 
 
@@ -276,50 +287,51 @@ def test_full_rank_mod_p_skips_elimination(paths):
     assert paths == []
 
 
-def test_a_kernel_free_of_constants_is_proven_at_one_point(paths):
+def test_a_kernel_free_of_constants_is_lifted_and_proven(paths):
     # the last column is 2*col0 - i*col1, so the kernel is (2, -i, -1)
     # up to scale, with no pi in it
     pi, one, i = Frac.var("pi"), Frac.of(1), Frac.of(GaussianRational(0, 1))
     cols = [[pi, one, one / (pi + one)], [one, pi * pi, pi]]
     rows = [[a, b, 2 * a - i * b] for a, b in zip(*cols)]
     basis, rank = exact_nullspace(rows)
-    assert paths == ["point", "proven"]
+    assert paths == ["proven"]
     assert (basis, rank) == _bareiss_of(rows)
     assert rank == 2 and basis == [[Frac.of(-2), i, Frac.of(1)]]
 
 
 def test_a_full_rank_matrix_singular_mod_p_falls_back(paths):
-    # full rank over Q(i), but the entry p vanishes in F_p
+    # full rank over Q(i), but the entry p vanishes in F_p: the image's
+    # kernel vector (1, 0) lifts and fails M v = 0
     rows = _frac_rows([[scalars.MOD_P, 0], [0, 1]])
     assert exact_nullspace(rows) == ([], 2)
-    assert paths == ["point"]
+    assert paths == ["refused", "bareiss"]
 
 
 def test_a_kernel_that_depends_on_a_constant_falls_back(paths):
     # the matrix of test_exact_nullspace_adjoined_constant_kernel: its
-    # kernel has 2/(pi-1), so no vector over Q(i) annihilates it
+    # kernel has 2/(pi-1), whose image at the residue of pi has no small
+    # lift, and no vector over Q(i) annihilates the rows
     pi, one, zero = Frac.var("pi"), Frac.of(1), Frac.of(0)
     rows = [[pi, one, zero, one], [zero, one, one, zero], [one, zero, one, one]]
     basis, rank = exact_nullspace(rows)
-    assert paths == ["point", "refused", "ring"]
+    assert paths == ["unlifted", "bareiss"]
     assert (basis, rank) == _bareiss_of(rows)
     assert rank == 3 and _annihilates(basis[0], rows)
 
 
-@pytest.mark.parametrize("square", [True, False])
-def test_a_rank_drop_at_the_specialization_point_falls_back(paths, square):
-    # pi goes to 3 at the specialization point, so pi - 3 vanishes there
-    # and the point's extra kernel vector (1, 0, ...) fails M v = 0; in the
-    # square case pi - r also vanishes mod p, which is how the matrix gets
-    # past the rank mod p at all
+@pytest.mark.parametrize("vanishes", [True, False])
+def test_a_constant_pivot_that_vanishes_mod_p_is_refused(paths, vanishes):
+    # pi - r vanishes mod p at the residue r of pi, so the image's extra
+    # kernel vector (0, 1) lifts and fails M v = 0; pi - 3 is a pivot in
+    # F_p as over the ring, and the kernel beside it is free of pi
     pi, one, zero = Frac.var("pi"), Frac.of(1), Frac.of(0)
     drop = pi - Frac.of(3)
-    if square:
+    if vanishes:
         rows = [[drop, zero], [zero, pi - Frac.of(scalars._residue("pi"))]]
     else:
         rows = [[drop, zero, zero], [zero, one, one]]
     basis, rank = exact_nullspace(rows)
-    assert paths == ["point", "refused", "ring"]
+    assert paths == (["refused", "bareiss"] if vanishes else ["proven"])
     assert (basis, rank) == _bareiss_of(rows)
     assert rank == 2 and len(basis) == len(rows[0]) - 2
 
@@ -343,9 +355,10 @@ def test_exact_nullspace_matches_bareiss_sweep(paths):
         got = exact_nullspace(rows)
         assert got == _bareiss_of(rows)
         assert got[1] == _reference_rank(rows)
-    # the sweep takes every route: proven at the point, refused there, and
-    # Bareiss over Q(i) after a rank short mod p
-    assert {"proven", "refused"} <= set(paths)
+    # the sweep takes every route: kernels proven from the images, lifts
+    # that fail their proof, entries that do not lift, and Bareiss after
+    # either refusal
+    assert {"proven", "refused", "unlifted", "bareiss"} <= set(paths)
 
 
 def test_a_full_rank_stage_never_clears_its_rows(monkeypatch):
@@ -363,22 +376,84 @@ def test_a_full_rank_stage_never_clears_its_rows(monkeypatch):
     assert cleared
 
 
+def test_a_stage_maps_its_rows_once_and_the_conjugate_only_with_a_kernel(monkeypatch):
+    # one image with i at _MOD_I gives the rank and, when it falls short,
+    # the kernel; the image with i at the other root is taken only then
+    mapped = {"residues": 0, "conjugate_residues": 0}
+    for name in mapped:
+        image = getattr(discovery, name)
+        monkeypatch.setattr(discovery, name, lambda row, name=name, image=image: mapped.__setitem__(name, mapped[name] + 1) or image(row))
+    jet = diffpoly.Jet.expanding(parse("exp(2*z)*sin(z)"), EMPTY_ENV, 0, "exact")
+    for weight, coeff_degree, has_kernel in ((1, 0, False), (1, 1, False), (2, 0, True)):
+        for key in mapped:
+            mapped[key] = 0
+        _, _, n_rows, dimension = discovery.search_stage(jet, candidate_monomials(weight, 1), coeff_degree, 0)
+        assert (dimension > 0) == has_kernel
+        assert mapped == {"residues": n_rows, "conjugate_residues": n_rows if has_kernel else 0}
+
+
 def test_a_row_whose_denominator_vanishes_mod_p_gets_no_image(paths):
     # the first row of each matrix has no image in F_p, so the rank there
-    # falls short of the column count and the rows take the exact route;
-    # over pi the short rank also refuses the kernel found at the point
+    # falls short of the column count: the kernel of the other row lifts,
+    # and fails its proof on the rows the image left out
     pi, one = Frac.var("pi"), Frac.of(1)
     no_image = Frac.of(Fraction(1, scalars.MOD_P))
     vanishing = Frac(Poly.one(), Poly.var("pi") - Poly.const(scalars._residue("pi")))
-    for rows, route in (
-        ([[no_image, one], [Frac.of(2), Frac.of(3)]], ["point"]),
-        ([[pi, vanishing, one], [one, pi, one]], ["point", "refused", "ring"]),
+    for rows in (
+        [[no_image, one], [Frac.of(2), Frac.of(3)]],
+        [[pi, vanishing, one], [one, pi, one]],
     ):
         paths.clear()
         got = exact_nullspace(rows)
-        assert paths == route
+        assert paths == ["refused", "bareiss"]
         assert got == _bareiss_of(rows)
     assert got[1] == 2 and _annihilates(got[0][0], rows)
+
+
+def _bounded_fraction(rng, bound):
+    # the extremes of the bound half the time
+    if rng.random() < 0.5:
+        return Fraction(rng.choice((-bound, 0, bound)), rng.choice((1, bound)))
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def test_gaussian_rationals_within_the_bound_lift_from_their_two_images():
+    bound = math.isqrt(scalars.MOD_P // 2)
+    rng = random.Random(2801)
+    for _ in range(300):
+        size = rng.choice((3, 2**20, bound))
+        xs = [GaussianRational(_bounded_fraction(rng, size), _bounded_fraction(rng, size)) for _ in range(4)]
+        fracs = [Frac.of(x) for x in xs]
+        assert scalars.gaussian_lift(scalars.residues(fracs), scalars.conjugate_residues(fracs)) == xs
+    # past the bound a part's residue lifts to nothing or to another fraction
+    for past in (Fraction(bound + 1), Fraction(1, bound + 1), Fraction(2**40), Fraction(-(2**40) - 1, 3)):
+        fracs = [Frac.of(GaussianRational(past, 1))]
+        assert scalars.gaussian_lift(scalars.residues(fracs), scalars.conjugate_residues(fracs)) != [fracs[0].num.const_value()]
+
+
+def test_a_kernel_entry_past_the_lift_bound_falls_back(paths):
+    # the last column is 2^40*col0 + col1, so the kernel is (2^40, 1, -1),
+    # whose first entry lies past the bound: it lifts to a small fraction
+    # that fails the proof, and Bareiss gives the kernel
+    rows = _frac_rows([[a, b, 2**40 * a + b] for a, b in ((1, 2), (3, 5), (7, 11))])
+    basis, rank = exact_nullspace(rows)
+    assert 2**40 > math.isqrt(scalars.MOD_P // 2)
+    assert paths == ["refused", "bareiss"]
+    assert (basis, rank) == _bareiss_of(rows)
+    assert rank == 2 and basis == [_frac_rows([[-(2**40), -1, 1]])[0]]
+
+
+def test_iterations_take_their_kernels_from_the_images(monkeypatch):
+    # the square of z + exp(z) and of exp(2z) end in kernel stages over
+    # Q(i), each proven from its lift without an elimination over the ring
+    eliminations = []
+    bareiss = discovery._bareiss
+    monkeypatch.setattr(discovery, "_bareiss", lambda mat: eliminations.append(mat) or bareiss(mat))
+    square = iterate_ade(parse("z+exp(z)"), parse_ade("y2 - y1 + 1"), 2, DefinitionEnvironment())
+    assert square.kernel_dimension == 2
+    twice = iterate_ade(parse("exp(2*z)"), parse_ade("y1 - 2*y0"), 2, DefinitionEnvironment())
+    assert ade_text(twice.ade) == "y0*y2 - y1^2 - 2*y0*y1"
+    assert eliminations == []
 
 
 def _kernel_rows(monkeypatch, series, degree, center):

@@ -129,7 +129,6 @@ def test_compose_ade_rejects_an_equation_that_does_not_hold():
         compose_ade(true, false, exp_z, exp_z, EMPTY_ENV)
 
 
-@pytest.mark.slow
 def test_iterate_ade_square_of_translated_exponential():
     # frozen regression: the equation of f(f) for f = z + e^z
     env = DefinitionEnvironment()

@@ -14,6 +14,7 @@ from adekit.scalars import (
     Poly,
     ScalarError,
     clear_denominators,
+    conjugate_residues,
     exp_of_scalar,
     frac_str,
     frac_value,
@@ -410,11 +411,13 @@ def test_residues_are_a_ring_homomorphism(ring):
     draw = _IMAGE_RINGS[ring]
     for _ in range(60):
         x, y = draw(rng), draw(rng)
-        rx, ry = residues([x, y])
-        assert residues([x + y, x * y]) == [(rx + ry) % p, rx * ry % p]
-        if ry:
-            assert residues([x / y]) == [rx * pow(ry, -1, p) % p]
+        for image in (residues, conjugate_residues):
+            rx, ry = image([x, y])
+            assert image([x + y, x * y]) == [(rx + ry) % p, rx * ry % p]
+            if ry:
+                assert image([x / y]) == [rx * pow(ry, -1, p) % p]
     assert residues([Frac.of(GaussianRational(0, 1)), PI]) == [scalars._MOD_I, scalars._residue("pi")]
+    assert conjugate_residues([Frac.of(GaussianRational(0, 1)), PI]) == [p - scalars._MOD_I, scalars._residue("pi")]
 
 
 def _per_term_residue(q):
