@@ -380,9 +380,18 @@ def test_a_stage_maps_its_rows_once_and_the_conjugate_only_with_a_kernel(monkeyp
     # one image with i at _MOD_I gives the rank and, when it falls short,
     # the kernel; the image with i at the other root is taken only then
     mapped = {"residues": 0, "conjugate_residues": 0}
-    for name in mapped:
+
+    def counted(name):
         image = getattr(discovery, name)
-        monkeypatch.setattr(discovery, name, lambda row, name=name, image=image: mapped.__setitem__(name, mapped[name] + 1) or image(row))
+
+        def spy(row):
+            mapped[name] += 1
+            return image(row)
+
+        return spy
+
+    for name in mapped:
+        monkeypatch.setattr(discovery, name, counted(name))
     jet = diffpoly.Jet.expanding(parse("exp(2*z)*sin(z)"), EMPTY_ENV, 0, "exact")
     for weight, coeff_degree, has_kernel in ((1, 0, False), (1, 1, False), (2, 0, True)):
         for key in mapped:
