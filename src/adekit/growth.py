@@ -9,15 +9,23 @@ degrade to an overflow marker, which maximum-modulus readings report as
 infinity and mean-based readings refuse.
 
 A circle is evaluated node by node in blocks of samples: the post-order
-of the expression is folded once per block, and each node's value is a
-list with one (log_abs, angle) pair or OVERFLOW per sample.  Each node
-type has one list kernel (_add_list, _mul_list, _div_list, _pow_list,
-_exp_list, _trig_list), a plain loop over its operands' lists; _exp_list
-computes exp(log_abs) again only when the log modulus changes from one
-sample to the next.  The sample angles are reduced once per sample
-count, in a table that every circle with that count reads.  Every sample
-goes through the same float operations as when it is evaluated alone,
-so no reading depends on the block size.
+of the expression is folded once per block, and each node's value is two
+columns with one entry per sample, the log moduli and the angles, with
+OVERFLOW in the log column for a sample past float range.  Each node
+type has one kernel (_add_cols, _mul_cols, _div_cols, _pow_cols,
+_exp_cols, _trig_cols), which checks its operands' log columns once per
+block.  When every entry is a finite float, and for exp, sin and cos at
+most EXP_LIMIT, the kernel runs list comprehensions; a block that holds
+an edge (OVERFLOW, an infinity, a nan, a modulus past EXP_LIMIT) runs the
+kernel's per-sample loop (_add_loop, ...) over the same columns.  The
+root needs no angle, since circle_log_abs reads only the root's log
+column: the root kernel skips its angle comprehension, and a root
+exponential takes exp(log_abs)*cos(angle) alone, the real part
+cmath.rect returns.  The sample angles are reduced once per sample
+count, in a table that every circle with that count reads.  Both routes
+put every sample through the float operations it would go through
+alone, in the same order, so no reading depends on the block size or on
+the route a block takes.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 from .expr import (
     Add,
@@ -73,211 +80,289 @@ def _pair(log_abs, angle) -> tuple:
     return (float(log_abs), math.remainder(float(angle), TAU) if math.isfinite(angle) else 0.0)
 
 
-_ZERO = _pair(-math.inf, 0.0)
-_UNIT = _pair(0.0, 0.0)
-
-
 def _pair_of_complex(w: complex) -> tuple:
     if w == 0:
-        return _ZERO
+        return _pair(-math.inf, 0.0)
     return _pair(math.log(abs(w)), cmath.phase(w))
 
 
-# One list kernel per node type.  Each takes its operands' lists, one
-# entry per sample, and returns the node's list: OVERFLOW stays OVERFLOW,
-# and every other sample goes through the float operations of one value
-# alone, with _pair's normal form written out: the angle reduced by
-# remainder(angle, TAU), or 0.0 when it is not finite.
+# One kernel per node type.  Each takes its operands' columns, a log
+# column xs (ys) and an angle column us (vs), and returns the node's two
+# columns; with polar false it may return None for the angles.  Angles
+# are always finite, so only the log columns are checked.  A clean block
+# runs comprehensions; any other block runs the kernel's loop, which
+# keeps OVERFLOW (with angle 0.0) and writes _pair's normal form out: the
+# angle reduced by remainder(angle, TAU), or 0.0 when it is not finite.
+# Where a comprehension drops that test, its angle is finite.
 
 
-def _add_list(xs: list, ys: list, negate: bool) -> list:
+def _finite(xs) -> bool:
+    """Whether every entry of a log column is a finite float: OVERFLOW
+    cannot be summed, and a sum over an infinity or a nan is not finite.
+    A sum that overflows on finite entries only sends its block down the
+    loop."""
+    try:
+        return math.isfinite(sum(xs))
+    except TypeError:
+        return False
+
+
+def _below_limit(xs) -> bool:
+    """_finite, and no modulus past EXP_LIMIT, so that exp, sin and cos
+    can form the value itself on every sample."""
+    return _finite(xs) and max(xs) <= EXP_LIMIT
+
+
+def _add_cols(xs, us, ys, vs, negate: bool, polar: bool):
     """x + y on each sample, or x - y with negate: y's angle turned by pi
-    and reduced first, as for a negated value."""
+    and reduced first, as for a negated value.  The larger modulus is
+    factored out, so the residual sum stays in range."""
+    if not (_finite(xs) and _finite(ys)):
+        return _add_loop(xs, us, ys, vs, negate)
+    exp, log, rect, phase, rem = math.exp, math.log, cmath.rect, cmath.phase, math.remainder
+    if negate:
+        vs = [rem(v + math.pi, TAU) for v in vs]
+    # x leads unless y is larger; small is the smaller log modulus less
+    # the larger
+    smalls = [y - x if y <= x else x - y for x, y in zip(xs, ys)]
+    scales = [exp(small) if small > -745.0 else 0.0 for small in smalls]
+    sums = [
+        rect(1.0, u) + rect(e, v) if y <= x else rect(1.0, v) + rect(e, u)
+        for x, u, y, v, e in zip(xs, us, ys, vs, scales)
+    ]
+    logs = [(x if y <= x else y) + log(abs(s)) if s else -math.inf for x, y, s in zip(xs, ys, sums)]
+    return logs, [rem(phase(s), TAU) if s else 0.0 for s in sums] if polar else None
+
+
+def _add_loop(xs, us, ys, vs, negate: bool):
     exp, log, rect, phase, rem, isfinite = math.exp, math.log, cmath.rect, cmath.phase, math.remainder, math.isfinite
     pi, neg_inf = math.pi, -math.inf
-    out = []
-    append = out.append
-    for a, b in zip(xs, ys):
-        if a is OVERFLOW or b is OVERFLOW:
-            append(OVERFLOW)
-            continue
-        la, ta = a
-        lb, tb = b
-        if negate and lb != neg_inf:
-            tb += pi
-            tb = rem(tb, TAU) if isfinite(tb) else 0.0
-        if la == neg_inf:
-            append((lb, tb))
-            continue
-        if lb == neg_inf:
-            append(a)
-            continue
-        # factor out the larger modulus so the residual sum stays in range
-        if lb > la:
-            la, ta, lb, tb = lb, tb, la, ta
-        small = lb - la
-        s = rect(1.0, ta) + rect(exp(small) if small > -745.0 else 0.0, tb)
-        if s == 0:
-            append(_ZERO)
-            continue
-        t = phase(s)
-        append((la + log(abs(s)), rem(t, TAU) if isfinite(t) else 0.0))
-    return out
+    logs, angles = [], []
+    for la, ta, lb, tb in zip(xs, us, ys, vs):
+        if la is OVERFLOW or lb is OVERFLOW:
+            la, ta = OVERFLOW, 0.0
+        else:
+            if negate and lb != neg_inf:
+                tb += pi
+                tb = rem(tb, TAU) if isfinite(tb) else 0.0
+            if la == neg_inf:
+                la, ta = lb, tb
+            elif lb != neg_inf:
+                if lb > la:
+                    la, ta, lb, tb = lb, tb, la, ta
+                small = lb - la
+                s = rect(1.0, ta) + rect(exp(small) if small > -745.0 else 0.0, tb)
+                if s == 0:
+                    la, ta = neg_inf, 0.0
+                else:
+                    t = phase(s)
+                    la, ta = la + log(abs(s)), rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(ta)
+    return logs, angles
 
 
-def _mul_list(xs: list, ys: list) -> list:
+def _mul_cols(xs, us, ys, vs, polar: bool):
+    if not (_finite(xs) and _finite(ys)):
+        return _mul_loop(xs, us, ys, vs)
+    rem = math.remainder
+    return [x + y for x, y in zip(xs, ys)], [rem(u + v, TAU) for u, v in zip(us, vs)] if polar else None
+
+
+def _mul_loop(xs, us, ys, vs):
     rem, isfinite = math.remainder, math.isfinite
     neg_inf = -math.inf
-    out = []
-    append = out.append
-    for a, b in zip(xs, ys):
-        if a is OVERFLOW or b is OVERFLOW:
-            append(OVERFLOW)
-            continue
-        la, ta = a
-        lb, tb = b
-        if la == neg_inf or lb == neg_inf:
-            append(_ZERO)
-            continue
-        t = ta + tb
-        append((la + lb, rem(t, TAU) if isfinite(t) else 0.0))
-    return out
+    logs, angles = [], []
+    for la, ta, lb, tb in zip(xs, us, ys, vs):
+        if la is OVERFLOW or lb is OVERFLOW:
+            la, t = OVERFLOW, 0.0
+        elif la == neg_inf or lb == neg_inf:
+            la, t = neg_inf, 0.0
+        else:
+            la, t = la + lb, ta + tb
+            t = rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(t)
+    return logs, angles
 
 
-def _div_list(xs: list, ys: list) -> list:
+def _div_cols(xs, us, ys, vs, polar: bool):
+    if not (_finite(xs) and _finite(ys)):
+        return _div_loop(xs, us, ys, vs)
+    rem = math.remainder
+    return [x - y for x, y in zip(xs, ys)], [rem(u - v, TAU) for u, v in zip(us, vs)] if polar else None
+
+
+def _div_loop(xs, us, ys, vs):
     rem, isfinite = math.remainder, math.isfinite
     neg_inf = -math.inf
-    out = []
-    append = out.append
-    for a, b in zip(xs, ys):
-        if a is OVERFLOW or b is OVERFLOW:
-            append(OVERFLOW)
-            continue
-        la, ta = a
-        lb, tb = b
-        if lb == neg_inf:
+    logs, angles = [], []
+    for la, ta, lb, tb in zip(xs, us, ys, vs):
+        if la is OVERFLOW or lb is OVERFLOW:
+            la, ta = OVERFLOW, 0.0
+        elif lb == neg_inf:
             raise GrowthError("division by zero during growth evaluation")
-        if la == neg_inf:
-            append(a)
-            continue
-        t = ta - tb
-        append((la - lb, rem(t, TAU) if isfinite(t) else 0.0))
-    return out
+        elif la != neg_inf:
+            la, t = la - lb, ta - tb
+            ta = rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(ta)
+    return logs, angles
 
 
-def _pow_list(xs: list, n: int) -> list:
+def _pow_cols(xs, us, n: int, polar: bool):
     if n == 0:
-        return [a if a is OVERFLOW else _UNIT for a in xs]
+        # one comprehension serves every entry: only OVERFLOW stays
+        return [x if x is OVERFLOW else 0.0 for x in xs], [0.0] * len(xs)
+    if not _finite(xs):
+        return _pow_loop(xs, us, n)
+    rem = math.remainder
+    return [n * x for x in xs], [rem(n * u, TAU) for u in us] if polar else None
+
+
+def _pow_loop(xs, us, n: int):
     rem, isfinite = math.remainder, math.isfinite
     neg_inf = -math.inf
-    out = []
-    append = out.append
-    for a in xs:
-        if a is OVERFLOW or a[0] == neg_inf:
-            append(a)
-            continue
-        la, ta = a
-        t = n * ta
-        append((n * la, rem(t, TAU) if isfinite(t) else 0.0))
-    return out
+    logs, angles = [], []
+    for la, ta in zip(xs, us):
+        if la is OVERFLOW:
+            ta = 0.0
+        elif la != neg_inf:
+            la, t = n * la, n * ta
+            ta = rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(ta)
+    return logs, angles
 
 
-def _exp_list(xs: list) -> list:
-    exp, rect, rem, isfinite = math.exp, cmath.rect, math.remainder, math.isfinite
+def _exp_cols(xs, us, polar: bool):
+    """exp on each sample.  For a finite modulus m and angle u,
+    cmath.rect(m, u) is (m*cos(u), m*sin(u)), and (m, m*u) at u == 0,
+    which has the same bits; the root takes the real part alone."""
+    if not _below_limit(xs):
+        return _exp_loop(xs, us, polar)
+    exp, cos = math.exp, math.cos
+    if not polar:
+        return [exp(x) * cos(u) for x, u in zip(xs, us)], None
+    sin, rem = math.sin, math.remainder
+    moduli = [exp(x) for x in xs]
+    return [m * cos(u) for m, u in zip(moduli, us)], [rem(m * sin(u), TAU) for m, u in zip(moduli, us)]
+
+
+def _exp_loop(xs, us, polar: bool):
+    exp, cos, rect, rem, isfinite = math.exp, math.cos, cmath.rect, math.remainder, math.isfinite
     neg_inf = -math.inf
-    out = []
-    append = out.append
-    # the modulus exp(log_abs) of the last sample: every sample of a
-    # circle's a*z has the same log modulus
-    last, modulus = None, 0.0
-    for a in xs:
-        if a is OVERFLOW:
-            append(a)
-            continue
-        la, ta = a
-        if la == neg_inf:
-            append(_UNIT)
-            continue
-        if la > EXP_LIMIT:
-            append(OVERFLOW)
-            continue
-        if la != last:
-            last, modulus = la, exp(la)
-        w = rect(modulus, ta)
-        t = w.imag
-        append((w.real, rem(t, TAU) if isfinite(t) else 0.0))
-    return out
-
-
-def _trig_list(xs: list, fn) -> list:
-    exp, log, rect, phase, rem, isfinite = math.exp, math.log, cmath.rect, cmath.phase, math.remainder, math.isfinite
-    neg_inf = -math.inf
-    out = []
-    append = out.append
-    for a in xs:
-        if a is OVERFLOW:
-            append(a)
-            continue
-        la, ta = a
-        if la == neg_inf:
-            w = 0j
-        elif la > EXP_LIMIT:
-            append(OVERFLOW)
-            continue
+    logs, angles = [], []
+    for la, ta in zip(xs, us):
+        if la is OVERFLOW or la > EXP_LIMIT:
+            la, ta = OVERFLOW, 0.0
+        elif la == neg_inf:
+            la, ta = 0.0, 0.0
+        elif not polar:
+            la = exp(la) * cos(ta)
         else:
             w = rect(exp(la), ta)
+            t = w.imag
+            la, ta = w.real, rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(ta)
+    return logs, angles if polar else None
+
+
+def _trig_cols(xs, us, fn, polar: bool):
+    if not _below_limit(xs):
+        return _trig_loop(xs, us, fn)
+    exp, log, rect, phase, rem = math.exp, math.log, cmath.rect, cmath.phase, math.remainder
+    try:
+        values = [fn(rect(exp(x), u)) for x, u in zip(xs, us)]
+    except OverflowError:
+        # |Im w| past about 710 on some sample: the loop reads its size
+        return _trig_loop(xs, us, fn)
+    logs = [log(abs(v)) if v else -math.inf for v in values]
+    return logs, [rem(phase(v), TAU) if v else 0.0 for v in values] if polar else None
+
+
+def _trig_loop(xs, us, fn):
+    exp, log, rect, phase, rem, isfinite = math.exp, math.log, cmath.rect, cmath.phase, math.remainder, math.isfinite
+    neg_inf = -math.inf
+    logs, angles = [], []
+    for la, ta in zip(xs, us):
+        if la is OVERFLOW or la > EXP_LIMIT:
+            logs.append(OVERFLOW)
+            angles.append(0.0)
+            continue
+        w = 0j if la == neg_inf else rect(exp(la), ta)
         try:
             v = fn(w)
         except OverflowError:
             # |sin w| and |cos w| grow like exp(|Im w|)/2
-            append((abs(w.imag) - log(2.0), 0.0))
-            continue
-        if v == 0:
-            append(_ZERO)
-            continue
-        t = phase(v)
-        append((log(abs(v)), rem(t, TAU) if isfinite(t) else 0.0))
-    return out
+            la, ta = abs(w.imag) - log(2.0), 0.0
+        else:
+            if v == 0:
+                la, ta = neg_inf, 0.0
+            else:
+                t = phase(v)
+                la, ta = log(abs(v)), rem(t, TAU) if isfinite(t) else 0.0
+        logs.append(la)
+        angles.append(ta)
+    return logs, angles
 
 
-# Samples per block of a circle: enough that each node's loop runs long,
-# few enough that the per-node lists stay small next to the output.
+# Samples per block of a circle: enough that each node's comprehensions
+# run long, few enough that the per-node columns stay small next to the
+# output.
 BLOCK_SAMPLES = 256
 
 
-def _eval_block(e: Expression, args: list) -> list:
-    """Evaluate e on every argument of a block at once, node by node: each
-    node's value is a list with one entry per argument, a pair or OVERFLOW.
-    A sample sees the same float operations, in the same order, as when
-    it is evaluated alone."""
+def _eval_block(e: Expression, xs: list, us, polar: bool = True) -> tuple:
+    """Evaluate e on every argument of a block at once, node by node.  The
+    arguments are a log column xs and an angle column us; each node's
+    value is such a pair of columns, OVERFLOW in the log column where a
+    sample left float range.  Returns the root's columns; with polar
+    false the root's angles may be None, as circle_log_abs needs only its
+    log moduli.  A sample sees the same float operations, in the same
+    order, as when it is evaluated alone."""
+    n = len(xs)
+    root = len(e._subtrees) - 1
     vals = []
-    for node, ops in e._subtrees:
+    for i, (node, ops) in enumerate(e._subtrees):
         t = type(node)
+        p = polar or i < root
         if t is Var:
-            v = args
-        elif t is Lit:
-            v = [_pair_of_complex(node.value.to_complex())] * len(args)
-        elif t is PiConst:
-            v = [_pair(math.log(math.pi), 0.0)] * len(args)
+            v = (xs, us)
+        elif t is Lit or t is PiConst:
+            la, ta = _pair_of_complex(node.value.to_complex()) if t is Lit else _pair(math.log(math.pi), 0.0)
+            v = ([la] * n, [ta] * n)
         elif t is Add or t is Sub:
-            v = _add_list(vals[ops[0]], vals[ops[1]], t is Sub)
+            v = _add_cols(*vals[ops[0]], *vals[ops[1]], t is Sub, p)
         elif t is Mul:
-            v = _mul_list(vals[ops[0]], vals[ops[1]])
+            v = _mul_cols(*vals[ops[0]], *vals[ops[1]], p)
         elif t is Div:
-            v = _div_list(vals[ops[0]], vals[ops[1]])
+            v = _div_cols(*vals[ops[0]], *vals[ops[1]], p)
         elif t is Pow:
-            v = _pow_list(vals[ops[0]], node.exponent)
+            v = _pow_cols(*vals[ops[0]], node.exponent, p)
         elif t is Exp:
-            v = _exp_list(vals[ops[0]])
+            v = _exp_cols(*vals[ops[0]], p)
         elif t is Sin or t is Cos:
-            v = _trig_list(vals[ops[0]], cmath.sin if t is Sin else cmath.cos)
+            v = _trig_cols(*vals[ops[0]], cmath.sin if t is Sin else cmath.cos, p)
         elif t is Compose:
-            # the outer runs only on the samples whose inner is a number, so
-            # an overflowed sample stays OVERFLOW even under a constant outer
-            inner = vals[ops[0]]
-            live = [a for a in inner if a is not OVERFLOW]
-            outer = iter(_eval_block(node.outer, live) if live else ())
-            v = [a if a is OVERFLOW else next(outer) for a in inner]
+            inner, angles = vals[ops[0]]
+            if _finite(inner):
+                v = _eval_block(node.outer, inner, angles, p)
+            else:
+                # the outer runs only on the samples whose inner is a
+                # number, so an overflowed sample stays OVERFLOW even under
+                # a constant outer
+                live = [k for k, x in enumerate(inner) if x is not OVERFLOW]
+                logs, out = [OVERFLOW] * n, [0.0] * n
+                if live:
+                    ls, ts = _eval_block(node.outer, [inner[k] for k in live], [angles[k] for k in live], p)
+                    for k, la in zip(live, ls):
+                        logs[k] = la
+                    if p:
+                        for k, ta in zip(live, ts):
+                            out[k] = ta
+                v = (logs, out if p else None)
         else:
             raise TypeError(f"not a closed expression node: {node!r}")
         vals.append(v)
@@ -289,6 +374,10 @@ def _eval_block(e: Expression, args: list) -> list:
 
 
 MAX_SAMPLES = 2**20
+# Iterates one baker_scan may compose: the p-th reading evaluates p copies
+# of f on each sample, so a scan to p costs p(p+1)/2 evaluations of f per
+# sample and radius.
+MAX_ITERATES = 64
 
 
 def _check_samples(samples: int):
@@ -321,8 +410,8 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
     angles = _angles(samples)
     out = []
     for start in range(0, samples, BLOCK_SAMPLES):
-        args = list(zip(repeat(log_r), angles[start : start + BLOCK_SAMPLES]))
-        out += [v if v is OVERFLOW else v[0] for v in _eval_block(closed, args)]
+        block = angles[start : start + BLOCK_SAMPLES]
+        out += _eval_block(closed, [log_r] * len(block), block, False)[0]
     return out
 
 
@@ -427,6 +516,8 @@ def baker_scan(
         raise GrowthError("at least one radius is required")
     if max_p < 1:
         raise GrowthError("iterate bound must be positive")
+    if max_p > MAX_ITERATES:
+        raise GrowthError(f"iterate bound must be at most {MAX_ITERATES}")
     f_closed = inline(f, env)
     rows = []
     partner = []  # log M(r, g) on each radius, read at p = 1

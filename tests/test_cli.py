@@ -534,6 +534,20 @@ def test_growth_sample_cap_is_a_usage_error(capsys, monkeypatch):
     assert not evaluated
 
 
+def test_growth_iterate_cap_is_a_usage_error(capsys, monkeypatch):
+    # a baker scan's cost grows with the square of --max-p; the cap rejects
+    # the bound before any sample is evaluated
+    from adekit import growth
+
+    evaluated = []
+    monkeypatch.setattr(growth, "_eval_block", lambda *args: evaluated.append(args))
+    rc, out, err = run(capsys, "growth", "baker-scan", "--subject", "sin(z)/10,exp(z)", "--radii", "2", "--max-p", "10000")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: iterate bound must be at most {growth.MAX_ITERATES}\n"
+    assert not evaluated
+
+
 def test_pair_errors_report_offsets_in_the_whole_subject(capsys):
     rc, _, err = run(capsys, "check-permutable", "--subject", "exp(z), sin(z)+*")
     assert rc == 2

@@ -29,6 +29,8 @@ from adekit.expr import (
     parse,
 )
 from adekit.growth import (
+    EXP_LIMIT,
+    MAX_ITERATES,
     MAX_SAMPLES,
     TAU,
     GrowthError,
@@ -56,8 +58,9 @@ EXP4 = parse("exp(exp(exp(exp(z))))")
 def one_sample(e, z0):
     """A closed expression at one point, through the block evaluator: a
     (log_abs, angle) pair, or OVERFLOW."""
-    (v,) = _eval_block(e, [_pair_of_complex(complex(z0))])
-    return v
+    log_abs, angle = _pair_of_complex(complex(z0))
+    (la,), (ta,) = _eval_block(e, [log_abs], [angle])
+    return la if la is OVERFLOW else (la, ta)
 
 
 def pair_value(v):
@@ -221,6 +224,20 @@ def test_baker_scan_argument_validation():
         baker_scan(EXP, EXP2, EMPTY_ENV, 0, [2.0])
     with pytest.raises(GrowthError):
         baker_scan(EXP, EXP2, EMPTY_ENV, 3, [])
+
+
+def test_baker_scan_iterate_cap(monkeypatch):
+    from adekit import growth
+
+    read = []
+    monkeypatch.setattr(growth, "log_max_modulus", lambda f, env, r, samples: read.append(f) or 0.0)
+    with pytest.raises(GrowthError, match=f"iterate bound must be at most {MAX_ITERATES}"):
+        baker_scan(EXP, EXP2, EMPTY_ENV, MAX_ITERATES + 1, [2.0])
+    assert not read
+    # the cap itself is allowed: every margin is 0 here, so the scan runs
+    # to the last iterate and comes up empty
+    report = baker_scan(EXP, EXP2, EMPTY_ENV, MAX_ITERATES, [2.0])
+    assert report.p is None and [row.p for row in report.rows] == list(range(1, MAX_ITERATES + 1))
 
 
 def test_composition_lower_bound_exponentials():
@@ -507,15 +524,82 @@ def test_circles_match_the_per_sample_walker_bit_for_bit():
         ("exp(exp(exp(z)))", 7.0, 256),
         # a characteristic circle of 64 blocks, one angle table
         ("exp(-2*z)", 8.0, 2**14),
+        # an exp whose argument holds a nan (inf - inf) beside OVERFLOW
+        ("exp(exp(exp(exp(z)))^9/exp(exp(exp(z)))^9)", 7.0, 4096),
+        # a difference that reads OVERFLOW and infinite log moduli
+        ("exp(exp(exp(z)))^9-exp(exp(exp(z)))^9", 7.0, 256),
+        # one subject per root node type: the root skips its angle
+        ("exp(z)+z^2", 2.0, 256),
+        ("exp(2*z)-cos(z)", 2.0, 256),
+        ("sin(z)*exp(z)", 2.0, 256),
+        ("exp(z)/(z+3)", 2.0, 256),
+        ("(exp(z)+1)^3", 2.0, 256),
+        # the parser folds ^0 into the literal 1, so these are built as
+        # nodes: x^0 is 1, and OVERFLOW^0 stays OVERFLOW
+        (Pow(EXP, 0), 2.0, 256),
+        (Pow(EXP4, 0), 4.0, 256),
+        ("sin(exp(z))", 2.0, 256),
+        ("cos(3*z)", 2.0, 256),
+        ("exp(sin(z)*z)", 2.0, 256),
+        ("k(exp(z))", 2.0, 256),
     ],
 )
 def test_fixed_circles_match_the_per_sample_walker(text, r, samples):
     env = _sweep_env()
-    f = parse(text, env)
+    f = parse(text, env) if isinstance(text, str) else text
     got = _outcome(circle_log_abs, f, env, r, samples)
     assert got == _outcome(_ref_circle, f, env, r, samples)
     if text == "1/sin(0*z)":
         assert got == "GrowthError: division by zero during growth evaluation"
+    # the edge cases stay edges: (OVERFLOW, nan, infinite) log moduli
+    edges = {
+        "exp(exp(exp(exp(z)))^9/exp(exp(exp(z)))^9)": (153, 2, 0),
+        "exp(exp(exp(z)))^9-exp(exp(exp(z)))^9": (9, 0, 7),
+    }
+    if text in edges:
+        values = circle_log_abs(f, env, r, samples)
+        numbers = [v for v in values if v is not OVERFLOW]
+        assert (
+            len(values) - len(numbers),
+            sum(math.isnan(v) for v in numbers),
+            sum(math.isinf(v) for v in numbers),
+        ) == edges[text]
+
+
+def _has_edge(xs, limit):
+    return any(x is OVERFLOW or not math.isfinite(x) or x > limit for x in xs)
+
+
+def test_clean_blocks_take_no_per_sample_loop(monkeypatch):
+    from adekit import growth
+
+    entered = []
+
+    def spy(name, loop):
+        def wrapped(*args):
+            entered.append((name, args))
+            return loop(*args)
+
+        return wrapped
+
+    loops = [name for name in vars(growth) if name.startswith("_") and name.endswith("_loop")]
+    assert sorted(loops) == ["_add_loop", "_div_loop", "_exp_loop", "_mul_loop", "_pow_loop", "_trig_loop"]
+    for name in loops:
+        monkeypatch.setattr(growth, name, spy(name, getattr(growth, name)))
+    circle_log_abs(parse("exp(-2*z)"), EMPTY_ENV, 8.0, 2**14)
+    circle_log_abs(EXP2, EMPTY_ENV, 4.0, 4096)
+    assert entered == []
+    # the outer exponential of exp(exp(exp(z))) straddles EXP_LIMIT at
+    # r = 7: the loop runs on exactly the blocks whose argument passes it
+    for samples in (256, 4096):
+        entered.clear()
+        got = circle_log_abs(EXP3, EMPTY_ENV, 7.0, samples)
+        assert repr(got) == repr(_ref_circle(EXP3, EMPTY_ENV, 7.0, samples))
+        arguments = circle_log_abs(EXP2, EMPTY_ENV, 7.0, samples)
+        blocks = [arguments[k : k + growth.BLOCK_SAMPLES] for k in range(0, samples, growth.BLOCK_SAMPLES)]
+        assert [name for name, _ in entered] == ["_exp_loop"] * sum(_has_edge(b, EXP_LIMIT) for b in blocks)
+        assert entered and all(_has_edge(args[0], EXP_LIMIT) for _, args in entered)
+        assert len(entered) < len(blocks) or samples == 256
 
 
 def test_one_sample_evaluation_matches_the_per_sample_walker():
@@ -530,6 +614,24 @@ def test_one_sample_evaluation_matches_the_per_sample_walker():
         for z0 in (4.0, -1.5 + 0.5j, 1j, 0.25):
             assert _outcome(one_sample, closed, z0) == _outcome(reference, closed, z0), (text, z0)
     assert one_sample(inline(parse("c(exp(exp(exp(exp(z)))))", env), env), 4.0) is OVERFLOW
+
+
+def test_an_edge_anywhere_in_a_block_reads_as_its_sample_alone():
+    # the block check must catch an edge wherever it sits in a column: a
+    # max() over the column passes a nan that is not its first entry
+    env = _sweep_env()
+    subjects = ["exp(z)", "exp(exp(z))", "exp(z)*z", "z/exp(z)", "z+exp(z)", "z-exp(z)", "exp(z)^3", "sin(z)", "cos(2*z)", "k(z)"]
+    for text in subjects + [Pow(Var(), 0)]:
+        closed = inline(parse(text, env), env) if isinstance(text, str) else text
+        for edge in (math.nan, math.inf, -math.inf, OVERFLOW, 800.0, 1e308):
+            xs, us = [0.5, -1.0, edge, 2.0], [0.25, -1.0, 2.0, 3.0]
+            for polar in (True, False):
+                logs, angles = _eval_block(closed, xs, us, polar)
+                for k, (la, ta) in enumerate(zip(xs, us)):
+                    ref = _ref_eval(closed, la if la is OVERFLOW else _RefPolar(la, ta))
+                    want = ref if ref is OVERFLOW else (ref.log_abs, ref.angle if polar else None)
+                    got = logs[k] if logs[k] is OVERFLOW else (logs[k], angles[k] if polar else None)
+                    assert repr(got) == repr(want), (text, edge, polar, k)
 
 
 def test_circle_memory_stays_near_its_output():
