@@ -566,8 +566,8 @@ def test_fixed_circles_match_the_per_sample_walker(text, r, samples):
         ) == edges[text]
 
 
-def _has_edge(xs, limit):
-    return any(x is OVERFLOW or not math.isfinite(x) or x > limit for x in xs)
+def _has_edge(xs):
+    return any(x is OVERFLOW or not math.isfinite(x) or x > EXP_LIMIT for x in xs)
 
 
 def test_clean_blocks_take_no_per_sample_loop(monkeypatch):
@@ -577,7 +577,7 @@ def test_clean_blocks_take_no_per_sample_loop(monkeypatch):
 
     def spy(name, loop):
         def wrapped(*args):
-            entered.append((name, args))
+            entered.append((name, _has_edge(args[0])))
             return loop(*args)
 
         return wrapped
@@ -597,9 +597,10 @@ def test_clean_blocks_take_no_per_sample_loop(monkeypatch):
         assert repr(got) == repr(_ref_circle(EXP3, EMPTY_ENV, 7.0, samples))
         arguments = circle_log_abs(EXP2, EMPTY_ENV, 7.0, samples)
         blocks = [arguments[k : k + growth.BLOCK_SAMPLES] for k in range(0, samples, growth.BLOCK_SAMPLES)]
-        assert [name for name, _ in entered] == ["_exp_loop"] * sum(_has_edge(b, EXP_LIMIT) for b in blocks)
-        assert entered and all(_has_edge(args[0], EXP_LIMIT) for _, args in entered)
-        assert len(entered) < len(blocks) or samples == 256
+        edged = sum(_has_edge(block) for block in blocks)
+        assert edged > 0 and entered == [("_exp_loop", True)] * edged
+    # on 16 blocks the edges sit near angle 0 only
+    assert edged < len(blocks)
 
 
 def test_one_sample_evaluation_matches_the_per_sample_walker():
