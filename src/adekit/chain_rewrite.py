@@ -22,7 +22,6 @@ from .diffpoly import (
     DiffMono,
     DiffPoly,
     DiffPolyError,
-    Jet,
     diff_mono_text,
     mono_of,
     mono_product,
@@ -30,7 +29,6 @@ from .diffpoly import (
     mono_weight,
 )
 from .expr import (
-    Compose,
     DefinitionEnvironment,
     Expression,
     FuncRef,
@@ -40,7 +38,6 @@ from .expr import (
     differentiate,
     div,
     expand_series,
-    expansion_key,
     expression_of_frac,
     inline,
     lit,
@@ -137,48 +134,28 @@ def table_text(table: Mapping) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-class BoundPair(DefinitionEnvironment):
-    """A frozen environment binding the reserved names f and g to a pair.
-    Besides the series of f and g, it keeps, for the latest expansion key,
-    one Jet of the stack G_0, G_1, ..., which grows one G_j at a time and
-    keeps its monomial columns for every rewrite on that key."""
-
-    def __init__(self, f_body: Expression, g_body: Expression):
-        super().__init__()
-        self.define("f", f_body)
-        self.define("g", g_body)
-        self.freeze()
-        self._stack_key = self._stack = None
-
-    def g_stack(self, center, order: int, mode) -> Jet:
-        """The Jet of G_j = g^(j) at f(z) around center through order."""
-        key = expansion_key(center, order, mode)
-        if key != self._stack_key:
-            # the composition expands the reference g^(j) with z bound to
-            # the series of f, like any other composition
-            def build(j):
-                return expand_series(Compose(FuncRef("g", j), FuncRef("f")), center, order, mode=mode, env=self)
-
-            self._stack_key, self._stack = key, Jet([], build=build)
-        return self._stack
+def bound_pair(f_expr: Expression, g_expr: Expression, env: DefinitionEnvironment) -> DefinitionEnvironment:
+    """A frozen environment binding the reserved names f and g, which the
+    transfer coefficients read, to the pair's inlined bodies."""
+    bound = DefinitionEnvironment()
+    bound.define("f", inline(f_expr, env))
+    bound.define("g", inline(g_expr, env))
+    bound.freeze()
+    return bound
 
 
-def bound_pair(f_expr: Expression, g_expr: Expression, env: DefinitionEnvironment) -> BoundPair:
-    """Environment binding the reserved names used by transfer coefficients."""
-    return BoundPair(inline(f_expr, env), inline(g_expr, env))
-
-
-def transfer_residual(support: dict, bound: BoundPair, center, order: int, mode: str = "exact"):
+def transfer_residual(support: dict, bound: DefinitionEnvironment, center, order: int, mode: str = "exact"):
     """Series of the transferred identity; zero when f and g commute and
     P[f] vanishes."""
     return _transfer_terms(support, bound, center, order, mode)[0]
 
 
-def _transfer_terms(support: dict, bound: BoundPair, center, order: int, mode):
-    """Jet.residual of the support on the pair's stack G_0..G_depth; the
-    coefficients read the pair's series of f and g."""
+def _transfer_terms(support: dict, bound: DefinitionEnvironment, center, order: int, mode):
+    """Jet.residual of the support on the stack G_0..G_depth, G_j = g^(j)
+    read at f, that the pair keeps with its series of f and g for this
+    center and order; the coefficients read those series too."""
     coeffs = {m: expand_series(c, center, order, mode=mode, env=bound) for m, c in support.items()}
-    return bound.g_stack(center, order, mode).residual(coeffs, order)
+    return bound.expansions(center, order, mode).stack("g", "f").residual(coeffs, order)
 
 
 def verify_transfer(

@@ -18,9 +18,11 @@ and the iterates, which it composes by substitution.  A reference f^(n)
 read at z, bare or composed with z as the parser writes ``f''(z)``,
 stays a leaf: its series is the n-th derivative of one expansion of f's
 inlined body, taken through the order of the expansion plus the highest
-n the expression reads.  A frozen environment keeps
-those series for its latest center, order and domain, so the calls that
-share them expand each body once.
+n the expression reads.  Every environment keeps those series, and the
+stacks of one name's derivatives read at another (:meth:`_Expansions.stack`),
+for its latest center, order and domain, so the calls that share them
+expand each body once.  A kept series never goes stale: ``define`` only
+appends, and a body reads only names defined before it.
 
 Every walker, the log-polar block walker of :mod:`adekit.growth` included,
 is one loop over the same post-order: the distinct subtrees of an
@@ -361,9 +363,10 @@ _RESERVED = {"z", "i", "pi", "exp", "sin", "cos", "iter"}
 
 class DefinitionEnvironment:
     """Ordered named definitions; a name may only use earlier names, which
-    rules out cycles by construction.  Once frozen, the environment keeps
-    the series of its definitions for the latest expansion key (see
-    :func:`expand_series`); a new key replaces them."""
+    rules out cycles by construction.  The environment keeps the series of
+    its definitions for the latest center, order and domain (see
+    :meth:`expansions`); a new key replaces them.  Freezing forbids new
+    definitions."""
 
     def __init__(self):
         self._defs: dict = {}
@@ -386,6 +389,17 @@ class DefinitionEnvironment:
 
     def freeze(self):
         self._frozen = True
+
+    def expansions(self, center, order: int, mode) -> "_Expansions":
+        """The series kept for expansions around center through order in
+        mode's domain, made afresh when the key changes."""
+        dom = _domain(mode)
+        c = dom.center(center)
+        # the center's printed form tells apart the numeric centers 0.0 and -0.0
+        key = dom, order, dom.text(dom.coeff(c))
+        if self._memo is None or self._memo.key != key:
+            self._memo = _Expansions(key, self, _z_series(dom, c, order))
+        return self._memo
 
     def lookup(self, name: str) -> Expression:
         try:
@@ -809,10 +823,6 @@ def scalar_of(e: Expression) -> Frac:
 
 def frac_of_expression(e: Expression) -> Frac:
     """Read an exp/sin/cos-free expression as a rational function of z."""
-    return _frac_fold(e)
-
-
-def _frac_fold(e: Expression) -> Frac:
     vals = []
     for node, ops in e._subtrees:
         t = type(node)
@@ -871,8 +881,8 @@ def expand_series(
     symbols subject to the quarter-period rule.  In numeric mode the center
     is complex and everything is floating point.  Iterates and the outers
     of compositions are inlined from env; a reference f^(n) read at z is
-    the n-th derivative of f's series, which a frozen env keeps for the
-    latest :func:`expansion_key`.
+    the n-th derivative of f's series, which env keeps for the latest
+    center, order and domain.
     """
     if order < 0:
         raise ExprError("expansion order must be nonnegative")
@@ -882,23 +892,8 @@ def expand_series(
     z = _z_series(dom, dom.center(center), order)
     refs = {(node.name, node.order) for node, _ in resolved._subtrees if type(node) is FuncRef}
     if refs:
-        if env._frozen:
-            key = expansion_key(center, order, dom)
-            if env._memo is None or env._memo.key != key:
-                env._memo = _Expansions(key, env, z)
-            memo = env._memo
-        else:
-            memo = _Expansions(None, env, z)
-        refs = memo.reads(refs)
+        refs = env.expansions(center, order, dom).reads(refs)
     return _expand(resolved, z, refs)
-
-
-def expansion_key(center, order: int, mode) -> tuple:
-    """What an expansion around center through order shares with another
-    besides its expression: the domain, the order and the center's printed
-    form, which tells apart the numeric centers 0.0 and -0.0."""
-    dom = _domain(mode)
-    return dom, order, dom.text(dom.coeff(dom.center(center)))
 
 
 def _domain(mode) -> Domain:
@@ -913,14 +908,15 @@ def _z_series(dom: Domain, c, order: int) -> PowerSeries:
 
 
 class _Expansions:
-    """The series that references f^(n) read at z, for expansions around
-    one center through one order.  Each definition's inlined body has one
-    expanding Jet, grown as far as the highest n read so far.  The key is
-    the :func:`expansion_key` a frozen environment keeps it under."""
+    """The series that references f^(n) read at z, and the stacks of
+    outer^(j) read at inner, take in expansions around one center through
+    one order.  Each definition's inlined body has one expanding Jet, grown
+    as far as the highest n read so far; each pair of names has one Jet of
+    outer^(j) read at inner, j = 0, 1, ..., built as far as read."""
 
-    def __init__(self, key: tuple | None, env: DefinitionEnvironment, z: PowerSeries):
+    def __init__(self, key: tuple, env: DefinitionEnvironment, z: PowerSeries):
         self.key = key
-        self._env, self._z, self._jets = env, z, {}
+        self._env, self._z, self._jets, self._stacks = env, z, {}, {}
 
     def reads(self, refs) -> dict:
         """(name, n) -> series of f^(n) through the key's order, for each
@@ -937,12 +933,29 @@ class _Expansions:
             stacks[name] = self._jets[name].stack(n, self._z.order)
         return {(name, n): stacks[name][n] for name, n in refs}
 
+    def stack(self, outer: str, inner: str):
+        """The Jet of outer^(j) read at inner, j = 0, 1, ..., which keeps
+        its members and their monomial series for every caller on this
+        key."""
+        from .diffpoly import Jet
+
+        if (outer, inner) not in self._stacks:
+            inner_series = self.reads({(inner, 0)})[inner, 0]
+            self._stacks[outer, inner] = Jet([], build=lambda j: _expand_composite(self._env, outer, j, inner_series))
+        return self._stacks[outer, inner]
+
 
 def _expand_definition(env: DefinitionEnvironment, name: str, z: PowerSeries, order: int) -> PowerSeries:
     """The series of name's inlined body through order, around z's center."""
     if order != z.order:
         z = _z_series(z.domain, z.coeffs[0], order)
     return _expand(inline(FuncRef(name), env), z)
+
+
+def _expand_composite(env: DefinitionEnvironment, outer: str, j: int, inner: PowerSeries) -> PowerSeries:
+    """The series of outer^(j) read at the series inner: the j-th
+    derivative of outer's inlined body, folded with z bound to inner."""
+    return _expand(inline(FuncRef(outer, j), env), inner)
 
 
 def _expand(e, z: PowerSeries, refs=None) -> PowerSeries:

@@ -417,18 +417,25 @@ def circle_log_abs(f: Expression, env: DefinitionEnvironment, r: float, samples:
 
 def _log_max(values: list) -> float:
     # a circle has at least 64 samples, so max compares every one of them,
-    # and OVERFLOW, which has no order, makes that comparison raise
+    # and OVERFLOW, which has no order, makes that comparison raise.  max
+    # keeps a leading nan and skips a later one, so a nan anywhere is read
+    # off the sum, which is nan only when an entry is nan or two are
+    # opposite infinities
     try:
-        return max(values)
+        top = max(values)
     except TypeError:
         return math.inf
+    if math.isnan(sum(values)) and any(map(math.isnan, values)):
+        return math.nan
+    return top
 
 
 def _characteristic(values: list, r: float) -> float:
     total = 0.0
     try:
         for v in values:
-            if v > 0.0:
+            # a nan passes this test, so it makes the mean nan
+            if not v <= 0.0:
                 total += v
     except TypeError:
         # only OVERFLOW fails the comparison with 0.0
@@ -437,7 +444,8 @@ def _characteristic(values: list, r: float) -> float:
 
 
 def log_max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 1024) -> float:
-    """log M(r, f) over a sampled circle; infinity when any sample overflows."""
+    """log M(r, f) over a sampled circle; infinity when any sample
+    overflows, else nan when any sample is nan."""
     return _log_max(circle_log_abs(f, env, r, samples))
 
 
@@ -454,7 +462,7 @@ def max_modulus(f: Expression, env: DefinitionEnvironment, r: float, samples: in
 
 def characteristic(f: Expression, env: DefinitionEnvironment, r: float, samples: int = 4096) -> float:
     """Mean of max(log |f|, 0) over the circle, the growth characteristic
-    of an entire function."""
+    of an entire function; nan when any sample is nan."""
     return _characteristic(circle_log_abs(f, env, r, samples), r)
 
 

@@ -204,8 +204,8 @@ def test_transfer_residual_matches_expression_route(f_text, g_text, center):
     # the residual is built from the derivative stack of g composed with f;
     # on monomials that do not annihilate f it is far from zero, so this
     # compares real series, coefficient by coefficient.  The reference
-    # expands in an unfrozen environment, which keeps no series between
-    # calls, while the pair shares its series and its G stack across them
+    # expands each term's product of compositions as one expression in an
+    # environment of its own, while the pair's terms read its G stack
     bound = _bound(f_text, g_text)
     reference = _pair(f_text, g_text)
     for mono in _corpus(3, 3):
@@ -221,22 +221,21 @@ def test_transfer_residual_matches_expression_route(f_text, g_text, center):
 def test_corpus_on_one_pair_expands_each_definition_once(monkeypatch):
     # the 18 corpus calls on one pair at one (center, order) share one
     # expansion of f and of g and one stack G_0..G_3
-    from adekit import chain_rewrite, expr
+    from adekit import expr
 
     bodies, stack = [], []
-    expand_definition, expand = expr._expand_definition, chain_rewrite.expand_series
+    expand_definition, expand_composite = expr._expand_definition, expr._expand_composite
 
     def counting_definition(env, name, z, order):
         bodies.append(name)
         return expand_definition(env, name, z, order)
 
-    def counting(e, *args, **kwargs):
-        if isinstance(e, Compose) and e.inner == FuncRef("f"):
-            stack.append(e.outer.order)
-        return expand(e, *args, **kwargs)
+    def counting_composite(env, outer, j, inner):
+        stack.append((outer, j))
+        return expand_composite(env, outer, j, inner)
 
     monkeypatch.setattr(expr, "_expand_definition", counting_definition)
-    monkeypatch.setattr(chain_rewrite, "expand_series", counting)
+    monkeypatch.setattr(expr, "_expand_composite", counting_composite)
     bound = bound_pair(F_OF, G_OF, PAIR_ENV)
     corpus = _corpus(3, 3)
     # heaviest first, so that the first call reads the highest derivatives
@@ -244,12 +243,12 @@ def test_corpus_on_one_pair_expands_each_definition_once(monkeypatch):
     for mono in reversed(corpus):
         transfer_residual(transfer_support(DiffPoly.monomial(mono)), bound, Frac.of(0), 6)
     assert sorted(bodies) == ["f", "g"]
-    assert stack == [0, 1, 2, 3]
+    assert stack == [("g", 0), ("g", 1), ("g", 2), ("g", 3)]
     # the corpus again, in its own order, finds everything it needs
     for mono in corpus:
         transfer_residual(transfer_support(DiffPoly.monomial(mono)), bound, Frac.of(0), 6)
     assert sorted(bodies) == ["f", "g"]
-    assert stack == [0, 1, 2, 3]
+    assert stack == [("g", 0), ("g", 1), ("g", 2), ("g", 3)]
 
 
 def test_pair_caches_follow_the_expansion_key():

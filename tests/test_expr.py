@@ -759,6 +759,44 @@ def test_a_typed_reference_builds_no_derivative_tree(monkeypatch):
     assert orders == [0, 0] and not built
 
 
+def test_an_unfrozen_environment_expands_a_body_once_per_key(monkeypatch):
+    # two calls at one center and order share one expansion of f: the
+    # first reads f'', which expands f through two more terms, and the
+    # second reads f as a truncation of it
+    from adekit import expr
+
+    env = DefinitionEnvironment()
+    env.define_text("f", "sin(z)/(2+exp(z))")
+    body = inline(FuncRef("f"), env)
+    wants = [expand_series(nth_derivative(body, n), Frac.of(0), 5) for n in (2, 0)]
+    bodies = []
+    real = expr._expand_definition
+    monkeypatch.setattr(expr, "_expand_definition", lambda env, name, z, order: bodies.append(name) or real(env, name, z, order))
+    for n, want in zip((2, 0), wants):
+        assert expand_series(FuncRef("f", n), Frac.of(0), 5, env=env) == want
+    assert bodies == ["f"]
+    # a new key expands the body again
+    expand_series(FuncRef("f"), Frac.of(1), 5, env=env)
+    assert bodies == ["f", "f"]
+
+
+def test_a_name_defined_after_an_expansion_reads_as_in_a_fresh_environment():
+    env = DefinitionEnvironment()
+    env.define_text("f", "z/2+exp(z)/3")
+    keys = [(Frac.of(0), 5, "exact"), (0.25 - 0.5j, 5, "numeric")]
+    for center, order, mode in keys:
+        expand_series(FuncRef("f", 1), center, order, mode=mode, env=env)
+    env.define_text("g", "f(z)+z")
+    fresh = DefinitionEnvironment()
+    fresh.define_text("f", "z/2+exp(z)/3")
+    fresh.define_text("g", "f(z)+z")
+    e = add(mul(FuncRef("g", 2), FuncRef("f")), parse("g(f(z))", fresh))
+    for center, order, mode in keys + keys:
+        got = expand_series(e, center, order, mode=mode, env=env)
+        want = expand_series(e, center, order, mode=mode, env=fresh)
+        assert list(map(repr, got)) == list(map(repr, want)), (center, mode)
+
+
 def test_unknown_mode_is_rejected():
     from adekit.series import PowerSeries, SeriesError
 
@@ -780,7 +818,7 @@ def test_walkers_reenter_only_outers_and_definitions():
 
     src = Path(__file__).resolve().parent.parent / "src" / "adekit"
     walkers = {
-        "expr": {"to_text", "differentiate", "inline", "_eval", "_frac_fold", "_expand"},
+        "expr": {"to_text", "differentiate", "inline", "_eval", "frac_of_expression", "_expand"},
         "growth": {"_eval_block", "is_transcendental"},
     }
     allowed = {"node.outer", "env.lookup(node.name)"}

@@ -47,7 +47,7 @@ from adekit.growth import (
     log_max_modulus,
     max_modulus,
 )
-from adekit.growth import _eval_block, _pair_of_complex
+from adekit.growth import _eval_block, _log_max, _pair_of_complex
 
 EXP = parse("exp(z)")
 EXP2 = parse("exp(exp(z))")
@@ -141,6 +141,30 @@ def test_characteristic_polynomial_and_small_constant():
     # |z^2| is constant e^2 on the circle of radius e
     assert characteristic(parse("z^2"), EMPTY_ENV, math.e, samples=256) == 2.0
     assert characteristic(parse("1/2"), EMPTY_ENV, 5.0, samples=256) == 0.0
+
+
+@pytest.mark.parametrize("sign, at", [("", 0), ("-", 128)])
+def test_a_nan_anywhere_on_the_circle_reads_nan(sign, at):
+    # inf - inf at one sample and 0.0 at every other: the readings do not
+    # depend on where the nan sits
+    tower = f"exp(exp(exp({sign}z)))^9"
+    f = parse(f"{tower}/{tower}")
+    values = circle_log_abs(f, EMPTY_ENV, 6.5625, 256)
+    assert [i for i, v in enumerate(values) if math.isnan(v)] == [at]
+    assert all(v == 0.0 for i, v in enumerate(values) if i != at)
+    assert math.isnan(log_max_modulus(f, EMPTY_ENV, 6.5625, 256))
+    assert math.isnan(max_modulus(f, EMPTY_ENV, 6.5625, 256))
+    assert math.isnan(characteristic(f, EMPTY_ENV, 6.5625, 256))
+
+
+def test_log_max_reads_nan_wherever_it_sits():
+    column = [1.0, math.inf, -math.inf, 2.0] * 16
+    # opposite infinities sum to nan, but the column holds none
+    assert _log_max(column) == math.inf
+    for at in (0, 1, 2, 3, 63):
+        assert math.isnan(_log_max(column[:at] + [math.nan] + column[at + 1 :])), at
+    # an overflowing sample still reads as an infinite maximum
+    assert _log_max([math.nan] + column[1:-1] + [OVERFLOW]) == math.inf
 
 
 def test_characteristic_refuses_overflowing_circle():
